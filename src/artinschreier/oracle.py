@@ -5,12 +5,22 @@ from counting fibers of the trace form by full enumeration (plus, for the
 direct variants, literal scans over (x, y) pairs that do not even use the
 fiber argument), and the Gauss/character sums are summed in floating point.
 
-The trace-form histogram is vectorized over F_p coordinates: each base-p digit
-of Tr(a x (x^(q^i) - x)) is X G_c X^T for an exact integer matrix G_c, where X
-is the row of F_p coordinates of x.  Chunks of the canonical element order go
-through float64 matrix products; every intermediate is bounded by
-ns (p-1)^2, far below 2^53, so the floats are exact.  Partial histograms merge
-by addition, which is why any chunk partition yields identical results.
+The trace-form histogram works on the F_p coordinates X of x: each base-p
+digit of Tr(a x (x^(q^i) - x)) is Q_c(X) = X G_c X^T mod p for an integer
+matrix G_c.  Adding d to coordinate k changes it by the prefix recursion
+
+    Q_c(X + d e_k) = Q_c(X) + d lin_k(X) + d^2 G_c[k, k],
+
+where lin_k(X) = (X (G_c + G_c^T))_k is linear, so the linear forms follow
+the same recursion.  Starting from the zero vector, the recursion builds the
+values on every assignment of the first L coordinates (p^L at most the chunk
+size), together with the linear forms of the columns not yet consumed, in
+small unsigned integer arrays reduced mod p after every step.  Each chunk
+then fixes one assignment y of the remaining top coordinates; its values are
+Q_c(low) + sum_k y_k lin_k(low) + Q_c(y) mod p, counted with bincount.  The
+chunks partition F_{q^n} by their top coordinates and every element's value
+is computed exactly, so any chunk size gives the same histogram, and memory
+is bounded by the chunk, not by q^n.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
             coeffs[u] = p ** v
             basis.append(tuple(coeffs))
     fdiff = [t.xsub(t.frobenius(e, i), e) for e in basis]
-    G = np.zeros((s, ns, ns), dtype=np.float64)
+    G = np.zeros((s, ns, ns), dtype=np.int64)
     for j in range(ns):
         for k in range(ns):
             val = t.bmul(a, t.trace(t.xmul(basis[j], fdiff[k])))
@@ -74,19 +84,38 @@ def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
 
 def _histogram_compute(tower: FieldTower, i: int, a: int, chunk_size: int) -> ValueHistogram:
     t = tower
-    n, s, p, q = t.n, t.s, t.p, t.q
-    ns = n * s
-    total = q ** n
+    p, s, q = t.p, t.s, t.q
+    ns = t.n * s
     G = _digit_matrices(t, i, a)
-    radix = np.array([p ** k for k in range(ns)], dtype=np.int64)
+    S = (G + G.transpose(0, 2, 1)) % p
+    low = 0
+    while low < ns and p ** (low + 1) <= chunk_size:
+        low += 1
+    # every sum below stays under this bound until it is reduced mod p
+    dtype = np.min_scalar_type(2 * (p - 1) + max(1, ns - low) * (p - 1) ** 2)
+    d = np.arange(p, dtype=dtype)[:, None]
+    # val[c] and lin[c, k - m] over the p^m assignments of coordinates < m,
+    # the new coordinate m being the most significant
+    val = np.zeros((s, 1), dtype=dtype)
+    lin = np.zeros((s, ns, 1), dtype=dtype)
+    for m in range(low):
+        square = (np.arange(p) ** 2 * G[:, m, m, None] % p).astype(dtype)
+        val = (val[:, None, :] + d * lin[:, 0, None, :] + square[:, :, None]) % p
+        lin = (lin[:, 1:, None, :] + d * S[:, m, m + 1:, None, None].astype(dtype)) % p
+        val = val.reshape(s, p ** (m + 1))
+        lin = lin.reshape(s, ns - m - 1, p ** (m + 1))
+    G_top = G[:, low:, low:]
     hist = np.zeros(q, dtype=np.int64)
-    for lo in range(0, total, chunk_size):
-        idx = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)
-        coords = ((idx[:, None] // radix[None, :]) % p).astype(np.float64)
-        value = np.zeros(len(idx), dtype=np.int64)
-        for c in range(s):
-            digit = ((coords @ G[c]) % p * coords).sum(axis=1) % p
-            value += digit.astype(np.int64) * p ** c
+    for top in product(range(p), repeat=ns - low):
+        y = np.array(top, dtype=np.int64)
+        acc = val + (np.einsum("j,cjk,k->c", y, G_top, y) % p).astype(dtype)[:, None]
+        for k, yk in enumerate(top):
+            if yk:
+                acc += yk * lin[:, k]
+        acc %= p
+        value = acc[0].astype(np.intp)
+        for c in range(1, s):
+            value += acc[c].astype(np.intp) * p ** c
         hist += np.bincount(value, minlength=q)
     return {c: int(hist[c]) for c in range(q)}
 
@@ -97,13 +126,16 @@ def qf_histogram(tower: FieldTower, i: int, a: int,
     """Fiber sizes #{x in F_{q^n} : Tr(a x (x^(q^i) - x)) = c} for every c in F_q.
 
     Full enumeration of q^n elements; refuses when q^n > limit.  Passing an
-    explicit chunk_size bypasses the cache (used to test partition invariance).
+    explicit chunk_size (at least 1; a chunk holds the largest power of p not
+    above it) bypasses the cache (used to test partition invariance).
     """
     t = tower
     if not 0 < i < t.n:
         raise ValueError(f"need 0 < i < n, got i={i}, n={t.n}")
     if not 0 < a < t.q:
         raise ValueError(f"a={a} is not in F_q*")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size={chunk_size} is not positive")
     _check_limit(t.q ** t.n, limit)
     if chunk_size is not None:
         return _histogram_compute(t, i, a, chunk_size)

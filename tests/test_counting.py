@@ -20,6 +20,7 @@ from artinschreier.counting import (
     weil_bounds,
 )
 from artinschreier.fields import build_tower
+from artinschreier.oracle import DEFAULT_LIMIT, oracle_curve, oracle_hypersurface
 
 from conftest import grid_towers, random_terms, zero_trace_element
 
@@ -323,3 +324,38 @@ def test_hypersurface_spec_validation():
         HypersurfaceSpec(t, ((1, 4),), t.zero)
     with pytest.raises(ValueError):
         HypersurfaceSpec(t, ((1, 1),), (0,))
+
+
+# ---------------------------------------------- enumeration beyond the grid
+
+
+def test_closed_forms_vs_enumeration_beyond_grid():
+    # (5, 1, 10) enumerates the p = 5 multiple-even curve branch (5 | n/gcd(i, n),
+    # n even); (3, 3, 3) and (3, 3, 4) enumerate odd s > 1, and (3, 3, 3) the
+    # half-integral bound at s > 1.  (3, 3, 5) would add n = 5, but its
+    # 3^15 = 14.3M elements exceed DEFAULT_LIMIT, so it is left out.
+    rng = random.Random(113)
+    branches = set()
+    half_integral = set()
+    for p, s, n in [(5, 1, 10), (3, 3, 3), (3, 3, 4)]:
+        t = build_tower(p, s, n)
+        assert t.q ** n <= DEFAULT_LIMIT
+        lams = [t.zero] + [tuple(1 if j == u else 0 for j in range(n)) for u in range(n)]
+        lams.append(t.random_element(rng))
+        for i in range(1, n):
+            for lam in lams:
+                spec = CurveSpec(t, i, lam)
+                rep = count_curve(spec)
+                assert rep.closed_form == oracle_curve(spec), (p, s, n, i, lam)
+                branches.add((p, rep.branch))
+                if rep.half_integral_bound:
+                    half_integral.add((p, s, n))
+        for r in (2, 3):
+            for _ in range(3):
+                spec = HypersurfaceSpec(t, random_terms(t, rng, r), t.random_element(rng))
+                rep = count_hypersurface(spec)
+                assert rep.closed_form == oracle_hypersurface(spec), (p, s, n, spec.terms)
+                if rep.half_integral_bound:
+                    half_integral.add((p, s, n))
+    assert (5, "multiple-even") in branches
+    assert (3, 3, 3) in half_integral

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,11 +41,34 @@ def test_qf_histogram_partition_of_domain():
             assert sum(hist.values()) == t.q ** n
 
 
+def _reference_histogram(t, i, a):
+    """Per-element evaluation of Tr(a x (x^(q^i) - x)), no coordinates involved."""
+    hist = Counter(t.trace(t.xscale(a, t.xmul(x, t.xsub(t.frobenius(x, i), x))))
+                   for x in t.elements())
+    return {c: hist[c] for c in range(t.q)}
+
+
+def test_qf_histogram_matches_per_element_reference():
+    # (3, 3, 2) has odd s > 1, which the verification grid never enumerates
+    for p, s, n in [(3, 1, 5), (3, 2, 3), (5, 1, 4), (7, 1, 3), (3, 3, 2)]:
+        t = build_tower(p, s, n)
+        for i in range(1, n):
+            for a in sorted({1, 2, t.q // 2, t.q - 1}):
+                assert qf_histogram(t, i, a) == _reference_histogram(t, i, a), \
+                    (p, s, n, i, a)
+
+
 def test_qf_histogram_chunking_invariant():
-    t = build_tower(3, 1, 4)
-    want = qf_histogram(t, 1, 1)
-    for chunk in (1, 7, 64, 81):
-        assert qf_histogram(t, 1, 1, chunk_size=chunk) == want
+    for p, s, n, i, a in [(3, 1, 4, 1, 1), (3, 1, 4, 3, 2), (3, 2, 3, 1, 5), (3, 2, 3, 2, 1)]:
+        t = build_tower(p, s, n)
+        total = t.q ** n
+        want = _reference_histogram(t, i, a)
+        # the split between low and top coordinates falls at every coordinate
+        chunks = {1, p - 1, p, total, total + 1}
+        for k in range(1, n * s + 1):
+            chunks |= {p ** k - 1, p ** k + 1}
+        for chunk in sorted(chunks):
+            assert qf_histogram(t, i, a, chunk_size=chunk) == want, (p, s, n, chunk)
 
 
 def test_qf_histogram_cache_returns_copies():
@@ -60,6 +84,9 @@ def test_qf_histogram_validation():
         qf_histogram(t, 0, 1)
     with pytest.raises(ValueError):
         qf_histogram(t, 1, 0)
+    for chunk in (0, -1):
+        with pytest.raises(ValueError):
+            qf_histogram(t, 1, 1, chunk_size=chunk)
 
 
 def test_enumeration_limit_error():
