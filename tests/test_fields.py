@@ -19,6 +19,44 @@ def test_moduli_deterministic():
     assert t.base_modulus == (0, 1)  # degree-1 placeholder for s = 1
 
 
+# (p, s, n): (base_modulus, ext_modulus, traces of t^0, ..., t^(n-1)).
+# The least moduli fix what a --lambda coefficient list means, so these are
+# pinned values, not recomputed ones.
+GOLDEN_TOWERS = {
+    (3, 1, 30): ((0, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 1),
+        (0, 1, 1, 1, 0, 2, 1, 1, 2, 1, 0, 1, 0, 0, 2, 2, 2, 0, 1, 2, 2, 1, 2, 0, 2, 0, 0, 1, 1, 1)),
+    (3, 1, 60): ((0, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
+        (0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2)),
+    (5, 2, 30): ((1, 1, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 13, 1),
+        (0, 17, 19, 3, 4, 14, 0, 23, 4, 4, 11, 9, 2, 17, 19, 3, 4, 14, 0, 23, 4, 4, 11, 9, 2, 17, 19, 3, 4, 14)),
+    (3, 2, 10): ((1, 0, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 3, 4, 1),
+        (1, 8, 0, 5, 2, 8, 0, 5, 2, 8)),
+    (7, 2, 6): ((1, 0, 1),
+        (1, 0, 0, 0, 0, 9, 1),
+        (6, 47, 31, 26, 21, 10)),
+    (11, 1, 8): ((0, 1),
+        (1, 0, 0, 0, 0, 0, 0, 4, 1),
+        (8, 7, 5, 2, 3, 10, 4, 6)),
+    (13, 1, 8): ((0, 1),
+        (1, 0, 0, 0, 0, 0, 2, 1, 1),
+        (8, 12, 10, 5, 1, 2, 9, 0)),
+}
+
+
+@pytest.mark.parametrize("psn", sorted(GOLDEN_TOWERS))
+def test_tower_moduli_and_traces_golden(psn):
+    base_modulus, ext_modulus, traces = GOLDEN_TOWERS[psn]
+    t = build_tower(*psn)
+    assert t.base_modulus == base_modulus
+    assert t.ext_modulus == ext_modulus
+    monomials = [tuple(1 if j == k else 0 for j in range(t.n)) for k in range(t.n)]
+    assert tuple(t.trace(m) for m in monomials) == traces
+
+
 def test_build_tower_cached_identity():
     assert build_tower(3, 1, 2) is build_tower(3, 1, 2)
     assert build_tower(3, 1, 2) is not build_tower(3, 1, 3)
