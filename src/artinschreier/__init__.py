@@ -16,11 +16,8 @@ from .counting import (CountReport, CurveSpec, HypersurfaceInvariants,
                        classify_hypersurface_detail, count_curve,
                        count_hypersurface, eps, hypersurface_invariants,
                        weil_bounds)
-from .fields import FieldTower, build_tower, tau_power
-from .oracle import (DEFAULT_LIMIT, EnumerationLimitError, char_sum_numeric,
-                     gauss_sum_numeric, gauss_sum_reference, oracle_curve,
-                     oracle_direct, oracle_hypersurface,
-                     oracle_hypersurface_direct, qf_histogram)
+from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower,
+                     build_tower, tau_power)
 from .quadforms import (DiagonalizationResult, ExactValue, RankCharPrediction,
                         build_Mni, build_gram, char_sum_closed_form,
                         congruence_diagonalize, count_qf_solutions,
@@ -45,3 +42,12 @@ __all__ = [
     "oracle_direct", "oracle_hypersurface", "oracle_hypersurface_direct",
     "qf_histogram",
 ]
+
+
+def __getattr__(name):
+    # the oracles need numpy, which the closed forms never load, so the
+    # names of __all__ not bound above come from .oracle on first use
+    if name in __all__:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,11 +27,24 @@ import sys
 from .counting import (CountReport, CurveSpec, HypersurfaceSpec,
                        classify_curve_detail, classify_hypersurface_detail,
                        count_curve, count_hypersurface)
-from .fields import FieldTower, build_tower
-from .oracle import (DEFAULT_LIMIT, EnumerationLimitError, gauss_sum_numeric,
-                     gauss_sum_reference, oracle_curve, oracle_hypersurface)
+from .fields import DEFAULT_LIMIT, EnumerationLimitError, FieldTower, build_tower
 
 SCHEMA_VERSION = 1
+
+
+def _from_oracle(name: str):
+    """Stand-in for oracle.<name> that imports the oracle module, and with it
+    numpy, on its first call: the counting commands never need either."""
+    def call(*args, **kwargs):
+        from . import oracle
+        return getattr(oracle, name)(*args, **kwargs)
+    return call
+
+
+oracle_curve = _from_oracle("oracle_curve")
+oracle_hypersurface = _from_oracle("oracle_hypersurface")
+gauss_sum_numeric = _from_oracle("gauss_sum_numeric")
+gauss_sum_reference = _from_oracle("gauss_sum_reference")
 
 
 class _UsageError(Exception):

@@ -18,7 +18,6 @@ fastest; element m of the enumeration has base-q digits of m as coefficients.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from typing import Iterator, Sequence
 
@@ -30,6 +29,18 @@ ExtElement = tuple
 
 _LOG_TABLE_MAX_Q = 1 << 20
 _ADD_TABLE_MAX_Q = 1 << 9  # q*q add/sub lookup tables below this
+
+DEFAULT_LIMIT = 10_000_000
+
+
+class EnumerationLimitError(RuntimeError):
+    """Raised instead of starting an enumeration that exceeds the limit."""
+
+    def __init__(self, requested: int, limit: int):
+        self.requested = requested
+        self.limit = limit
+        super().__init__(
+            f"enumeration of {requested} elements exceeds the limit {limit}")
 
 
 def _is_prime(m: int) -> bool:
@@ -68,106 +79,113 @@ def tau_power(p: int, e: int) -> FourthRootUnit:
     return e % 4
 
 
-class _PolyOps:
-    """Dense polynomial arithmetic over a coefficient field given by callbacks.
+def _fp_scale_add(p: int, acc: list, off: int, c: int, row: Sequence) -> None:
+    """acc[off + k] += c * row[k] in F_p, for every k."""
+    for k, m in enumerate(row, off):
+        if m:
+            acc[k] = (acc[k] + c * m) % p
 
-    Polynomials are lists of coefficients, index = degree.  Used only for
-    modulus search and table construction; hot paths use the tables below.
+
+class _PolyOps:
+    """Polynomial arithmetic over F_card, card = p^s, for the modulus search.
+
+    Polynomials are lists of field codes (0, 1 and p - 1 are zero, one and
+    minus one), index = degree.  The field enters through mul, inv, frob
+    (a -> a^p) and scale_add(acc, off, c, row), which adds c * row[k] to
+    acc[off + k] for every k, so per-coefficient work stays in its loop.
     """
 
-    def __init__(self, zero, one, add, sub, mul, inv):
-        self.zero, self.one = zero, one
-        self.add, self.sub, self.mul, self.inv = add, sub, mul, inv
+    def __init__(self, p: int, s: int, mul, inv, scale_add, frob):
+        self.p, self.s, self.card, self.minus_one = p, s, p ** s, p - 1
+        self.mul, self.inv, self.scale_add, self.frob = mul, inv, scale_add, frob
 
-    def trim(self, f: list) -> list:
-        while f and f[-1] == self.zero:
+    @staticmethod
+    def trim(f: list) -> list:
+        while f and f[-1] == 0:
             f.pop()
         return f
 
     def mul_mod(self, f: list, g: list, mod: list) -> list:
-        res = [self.zero] * (len(f) + len(g) - 1) if f and g else []
+        res = [0] * (len(f) + len(g) - 1) if f and g else []
         for a, fa in enumerate(f):
-            if fa == self.zero:
-                continue
-            for b, gb in enumerate(g):
-                res[a + b] = self.add(res[a + b], self.mul(fa, gb))
+            if fa:
+                self.scale_add(res, a, fa, g)
         return self.rem(res, mod)
 
     def rem(self, f: list, mod: list) -> list:
         f = list(f)
-        lead_inv = self.inv(mod[-1])
+        neg_lead_inv = self.mul(self.minus_one, self.inv(mod[-1]))
         while len(f) >= len(mod):
             c = f[-1]
-            if c != self.zero:
-                factor = self.mul(c, lead_inv)
-                shift = len(f) - len(mod)
-                for k in range(len(mod)):
-                    f[shift + k] = self.sub(f[shift + k], self.mul(factor, mod[k]))
+            if c:
+                self.scale_add(f, len(f) - len(mod), self.mul(c, neg_lead_inv), mod)
             f.pop()
         return self.trim(f)
 
     def pow_poly(self, h: list, e: int, mod: list) -> list:
-        result = [self.one]
-        base = self.rem(list(h), mod)
-        while e:
-            if e & 1:
+        base = self.rem(h, mod)
+        result = [1]
+        for bit in bin(e)[2:]:
+            result = self.mul_mod(result, result, mod)
+            if bit == "1":
                 result = self.mul_mod(result, base, mod)
-            base = self.mul_mod(base, base, mod)
-            e >>= 1
         return result
 
     def gcd(self, f: list, g: list) -> list:
         f, g = self.trim(list(f)), self.trim(list(g))
         while g:
-            lead_inv = self.inv(g[-1])
-            while len(f) >= len(g):
-                c = f[-1]
-                if c != self.zero:
-                    factor = self.mul(c, lead_inv)
-                    shift = len(f) - len(g)
-                    for k in range(len(g)):
-                        f[shift + k] = self.sub(f[shift + k], self.mul(factor, g[k]))
-                f.pop()
-                self.trim(f)
-            f, g = g, self.trim(f)
+            f, g = g, self.rem(f, g)
         return f
 
-    def is_irreducible(self, f: list, card: int) -> bool:
+    def is_irreducible(self, f: list) -> bool:
         """Monic f of degree d >= 2 is reducible iff it has an irreducible
         factor of some degree k <= d/2, and such a factor divides
         gcd(x^(card^k) - x, f).  Walking h -> h^card visits x^(card^k) for
         k = 1, 2, ... and exits at the smallest factor degree, which is what
-        makes the lexicographic modulus scan affordable."""
+        makes the lexicographic modulus scan affordable.
+
+        h -> h^p is semilinear: it sends sum_j h_j x^j to sum_j h_j^p rows[j]
+        with rows[j] = x^(jp) mod f, so s such steps raise h to card = p^s
+        without any squaring of h."""
         d = len(f) - 1
         if d == 1:
             return True
-        x = self.rem([self.zero, self.one], f)
+        x = [0, 1]
+        xp = self.pow_poly(x, self.p, f)
+        rows = [[1]]
         h = x
         for _ in range(d // 2):
-            h = self.pow_poly(h, card, f)
-            diff = [self.zero] * max(len(h), len(x))
-            for k, c in enumerate(h):
-                diff[k] = c
-            for k, c in enumerate(x):
-                diff[k] = self.sub(diff[k], c)
-            g = self.gcd(self.trim(diff), list(f))
-            if len(g) != 1:
+            for _ in range(self.s):
+                while len(rows) < len(h):
+                    rows.append(self.mul_mod(xp, rows[-1], f))
+                nxt = [0] * d
+                for c, row in zip(h, rows):
+                    if c:
+                        self.scale_add(nxt, 0, self.frob(c), row)
+                h = self.trim(nxt)
+            diff = h + [0] * (2 - len(h))
+            self.scale_add(diff, 0, self.minus_one, x)
+            if len(self.gcd(diff, f)) != 1:
                 return False
         return True
 
-    def least_irreducible(self, degree: int, card: int, elements) -> list:
+    def least_irreducible(self, degree: int) -> list:
         """First monic irreducible of the given degree in lexicographic order
-        on (c_0, ..., c_{degree-1}), constant term most significant."""
-        elements = list(elements)
-        for c0 in elements:
-            # for degree >= 2 a zero constant term means x divides f; skipping
-            # the whole block keeps the scan linear in the useful candidates
-            if degree > 1 and c0 == self.zero:
-                continue
-            for rest in itertools.product(elements, repeat=degree - 1):
-                cand = [c0] + list(rest) + [self.one]
-                if self.is_irreducible(cand, card):
-                    return cand
+        on (c_0, ..., c_{degree-1}), constant term most significant.
+
+        Candidate m has the base-card digits c_0 c_1 ... c_{degree-1}, so the
+        field's elements are never listed."""
+        card = self.card
+        # for degree >= 2 a zero constant term means x divides f; starting at
+        # c_0 = 1 keeps the scan linear in the useful candidates
+        for m in range(card ** (degree - 1) if degree > 1 else 0, card ** degree):
+            cand = [1]
+            for _ in range(degree):
+                m, c = divmod(m, card)
+                cand.append(c)
+            cand.reverse()
+            if self.is_irreducible(cand):
+                return cand
         raise RuntimeError("no irreducible polynomial found")
 
 
@@ -189,14 +207,14 @@ class FieldTower:
         self.q = p ** s
         self.ext_card = self.q ** n
 
-        fp = _PolyOps(0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
-                      lambda a, b: (a * b) % p, lambda a: pow(a, p - 2, p))
-        self.base_modulus = tuple(fp.least_irreducible(s, p, range(p)))
+        fp = _PolyOps(p, 1, lambda a, b: a * b % p, lambda a: pow(a, p - 2, p),
+                      functools.partial(_fp_scale_add, p), lambda a: a)
+        self.base_modulus = tuple(fp.least_irreducible(s))
         self._init_base_tables()
 
-        fq = _PolyOps(0, 1, self.badd, self.bsub, self.bmul, self.binv)
-        self.ext_modulus = tuple(fq.least_irreducible(n, self.q, range(self.q)))
-        self._fq_poly = fq
+        fq = _PolyOps(p, s, self.bmul, self.binv, self._bscale_add,
+                      lambda a: self.bpow(a, p) if s > 1 else a)
+        self.ext_modulus = tuple(fq.least_irreducible(n))
         self._init_ext_tables()
 
     # ----- F_q arithmetic on int codes -----
@@ -311,6 +329,21 @@ class FieldTower:
             return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return self._bmul_generic(a, b)
 
+    def _bscale_add(self, acc: list, off: int, c: int, row: Sequence) -> None:
+        """acc[off + k] += c * row[k] in F_q, for every k; c is nonzero."""
+        if self.s == 1:
+            return _fp_scale_add(self.p, acc, off, c, row)
+        if self._add is not None:
+            add, exp, log, q, qm1 = self._add, self._exp, self._log, self.q, self.q - 1
+            lc = log[c]
+            for k, m in enumerate(row, off):
+                if m:
+                    acc[k] = add[acc[k] * q + exp[(lc + log[m]) % qm1]]
+            return
+        for k, m in enumerate(row, off):
+            if m:
+                acc[k] = self.badd(acc[k], self.bmul(c, m))
+
     def binv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
@@ -352,48 +385,45 @@ class FieldTower:
     # ----- F_{q^n} arithmetic on coefficient tuples -----
 
     def _init_ext_tables(self) -> None:
-        n, q = self.n, self.q
+        n = self.n
         self.zero = tuple([0] * n)
         self.one = tuple([1] + [0] * (n - 1))
 
-        # image of each basis monomial t^k under x -> x^q, as a coordinate row
-        frob1 = []
-        for k in range(n):
-            mono = tuple(1 if j == k else 0 for j in range(n))
-            frob1.append(self.xpow(mono, q))
-        self._frob_matrices = {0: [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)],
-                               1: frob1}
+        self._frob_matrices = {0: [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]}
 
-        # trace of each monomial; each must land in the embedded F_q
-        self._tr_mono = []
-        for k in range(n):
-            acc = self.zero
-            z = tuple(1 if j == k else 0 for j in range(n))
-            for _ in range(n):
-                acc = self.xadd(acc, z)
-                z = self._apply_frob_matrix(z, 1)
-            assert all(c == 0 for c in acc[1:]), "trace left the base field"
-            self._tr_mono.append(acc[0])
+        self._tr_mono = self._power_sums(self.ext_modulus)
+        # absolute traces of the F_q basis monomials u^j, in F_p
+        self._btr_mono = self._power_sums(self.base_modulus)
 
-        # absolute trace of F_q basis monomials u^j down to F_p
-        btr = []
-        for j in range(self.s):
-            a = self.p ** j if self.s > 1 else 1
-            acc = 0
-            z = a
-            for _ in range(self.s):
-                acc = self.badd(acc, z)
-                z = self.bpow(z, self.p)
-            digits = self.base_digits(acc)
-            assert all(d == 0 for d in digits[1:]), "absolute trace left F_p"
-            btr.append(digits[0])
-        self._btr_mono = btr
+    def _power_sums(self, c: Sequence) -> list:
+        """Power sums p_0, ..., p_{d-1} of the roots of the monic modulus
+        t^d + c_{d-1} t^(d-1) + ... + c_0, that is the traces of t^0, ...,
+        t^(d-1), by Newton's identities p_0 = d and
+        p_k = -(k c_{d-k} + sum_{0<j<k} c_{d-j} p_{k-j}).  They divide by
+        nothing, so they hold in characteristic p as well."""
+        d = len(c) - 1
+        sums = [self.base_from_int(d)]
+        for k in range(1, d):
+            acc = self.bmul(self.base_from_int(k), c[d - k])
+            for j in range(1, k):
+                if c[d - j]:
+                    acc = self.badd(acc, self.bmul(c[d - j], sums[k - j]))
+            sums.append(self.bneg(acc))
+        return sums
 
     def _frob_matrix(self, k: int):
+        """Rows are the images of t^0, ..., t^(n-1) under x -> x^(q^k), built
+        on first use: k = 1 from powers of t^q, k >= 2 by applying k = 1."""
         k %= self.n
         if k not in self._frob_matrices:
-            prev = self._frob_matrix(k - 1)
-            self._frob_matrices[k] = [self._apply_frob_matrix(row, 1) for row in prev]
+            if k == 1:
+                t_q = self.xpow(self._frob_matrices[0][1], self.q)
+                rows = [self.one]
+                for _ in range(self.n - 1):
+                    rows.append(self.xmul(rows[-1], t_q))
+            else:
+                rows = [self._apply_frob_matrix(row, 1) for row in self._frob_matrix(k - 1)]
+            self._frob_matrices[k] = rows
         return self._frob_matrices[k]
 
     def _apply_frob_matrix(self, x: ExtElement, k: int) -> ExtElement:

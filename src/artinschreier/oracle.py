@@ -33,26 +33,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .fields import FieldTower, build_tower
+from .fields import DEFAULT_LIMIT, EnumerationLimitError, FieldTower, build_tower
 from .counting import CurveSpec, HypersurfaceSpec
 
 ValueHistogram = Dict[int, int]
 
-DEFAULT_LIMIT = 10_000_000
 _CHUNK = 1 << 18
 
 # computed histograms keyed by (p, s, n, i, a); towers are cached singletons
 _HIST_CACHE: dict = {}
-
-
-class EnumerationLimitError(RuntimeError):
-    """Raised instead of starting an enumeration that exceeds the limit."""
-
-    def __init__(self, requested: int, limit: int):
-        self.requested = requested
-        self.limit = limit
-        super().__init__(
-            f"enumeration of {requested} elements exceeds the limit {limit}")
 
 
 def _check_limit(requested: int, limit: int) -> None:
@@ -210,8 +199,8 @@ def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMI
 
 def gauss_sum_numeric(p: int, s: int) -> complex:
     """Sum of chi(x) e^(2 pi i TrAbs(x)/p) over x in F_q*, q = p^s <= 10^6."""
+    _check_limit(p ** s, 1_000_000)
     t = build_tower(p, s, 1)
-    _check_limit(t.q, 1_000_000)
     total = 0j
     for x in range(1, t.q):
         tr = t.base_trace_to_prime(x)

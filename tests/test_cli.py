@@ -3,6 +3,11 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -239,3 +244,31 @@ def test_gauss_check_impossible_tol(capsys):
                                  "--s-list", "1", "--tol", "1e-30"])
     assert code == 2
     assert "FAIL" in out
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_gauss_check_refuses_huge_field_fast():
+    # q = 3^20: the refusal comes before any tower is built, and the modulus
+    # search never lists F_q, so 1 GiB of address space is plenty
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "artinschreier.cli", "gauss-check",
+         "--p-list", "3", "--s-list", "20"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_capped_address_space)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("refused:") and proc.stdout == ""
+    assert elapsed < 1.0
+    proc = subprocess.run(
+        [sys.executable, "-c", "from artinschreier.fields import build_tower; "
+                               "print(build_tower(3, 20, 1).ext_modulus)"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_capped_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(0, 1)\n"

@@ -44,6 +44,13 @@ GOLDEN_TOWERS = {
     (13, 1, 8): ((0, 1),
         (1, 0, 0, 0, 0, 0, 2, 1, 1),
         (8, 12, 10, 5, 1, 2, 9, 0)),
+    # q > 512 has no addition tables, and q = 3^13 > 2^20 no log tables either
+    (3, 7, 3): ((1, 0, 0, 0, 0, 1, 2, 1),
+        (1, 0, 2, 1),
+        (0, 1, 1)),
+    (3, 13, 2): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1),
+        (1, 0, 1),
+        (2, 0)),
 }
 
 
@@ -194,6 +201,22 @@ def test_trace_examples():
     t = build_tower(3, 1, 2)
     assert t.trace((0, 1)) == 0  # Tr(t) = t + t^3 = t - t = 0
     assert t.trace((1, 0)) == 2  # Tr(1) = n mod p
+
+
+@pytest.mark.parametrize("psn", [(3, 1, 6), (3, 1, 9), (5, 1, 10), (7, 1, 8), (3, 2, 6)])
+def test_trace_is_sum_of_conjugates(psn):
+    # p | n and n > p, so Newton's identities meet k = p, where the k c_{n-k}
+    # term vanishes; the conjugates come from xpow, not the Frobenius tables
+    t = build_tower(*psn)
+    rng = random.Random(sum(psn))
+    basis = [tuple(1 if j == k else 0 for j in range(t.n)) for k in range(t.n)]
+    for x in basis + [t.random_element(rng) for _ in range(5)]:
+        acc = conj = x
+        for _ in range(t.n - 1):
+            conj = t.xpow(conj, t.q)
+            acc = t.xadd(acc, conj)
+        assert acc[1:] == t.zero[1:]
+        assert t.trace(x) == acc[0]
 
 
 def test_base_trace_to_prime_example():
