@@ -86,6 +86,23 @@ def _fp_scale_add(p: int, acc: list, off: int, c: int, row: Sequence) -> None:
             acc[k] = (acc[k] + c * m) % p
 
 
+def _digitwise_table(p: int, s: int, op) -> list:
+    """Flat q*q table, q = p^s, whose entry a*q + b is op(x, y) mod p taken
+    digit by digit on the base-p digits of a and b.
+
+    Code a = a' p + a_0 has low digit a_0, so row a of the table is the row
+    a' of the (s-1)-digit table with each entry h replaced by the block
+    h p + op(a_0, b_0) mod p over b_0 < p."""
+    table = [op(x, y) % p for x in range(p) for y in range(p)]
+    for k in range(1, s):
+        size = p ** k  # the codes of the previous table
+        blocks = [[[h * p + op(x, y) % p for y in range(p)] for h in range(size)]
+                  for x in range(p)]
+        rows = [table[h * size:(h + 1) * size] for h in range(size)]
+        table = [entry for row in rows for low in blocks for h in row for entry in low[h]]
+    return table
+
+
 class _PolyOps:
     """Polynomial arithmetic over F_card, card = p^s, for the modulus search.
 
@@ -226,18 +243,8 @@ class FieldTower:
             self._add = self._sub = None
             return
         if q <= _ADD_TABLE_MAX_Q:
-            digits = [self.base_digits(a) for a in range(q)]
-            add = [0] * (q * q)
-            sub = [0] * (q * q)
-            for a in range(q):
-                da = digits[a]
-                for b in range(q):
-                    db = digits[b]
-                    add[a * q + b] = self.base_from_digits(
-                        [(x + y) % p for x, y in zip(da, db)])
-                    sub[a * q + b] = self.base_from_digits(
-                        [(x - y) % p for x, y in zip(da, db)])
-            self._add, self._sub = add, sub
+            self._add = _digitwise_table(p, s, lambda x, y: x + y)
+            self._sub = _digitwise_table(p, s, lambda x, y: x - y)
         else:
             self._add = self._sub = None
         if q > _LOG_TABLE_MAX_Q:
@@ -391,25 +398,37 @@ class FieldTower:
 
         self._frob_matrices = {0: [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]}
 
-        self._tr_mono = self._power_sums(self.ext_modulus)
+        self._tr_mono = self._power_sums(self.ext_modulus, n)
         # absolute traces of the F_q basis monomials u^j, in F_p
-        self._btr_mono = self._power_sums(self.base_modulus)
+        self._btr_mono = self._power_sums(self.base_modulus, self.s)
+        # filled by monomial_traces(); set here, not by functools.cached_property,
+        # whose write through __dict__ slowed every later attribute read on the
+        # tower by 15-30% on CPython 3.11
+        self._tr_mono_wide = None
 
-    def _power_sums(self, c: Sequence) -> list:
-        """Power sums p_0, ..., p_{d-1} of the roots of the monic modulus
-        t^d + c_{d-1} t^(d-1) + ... + c_0, that is the traces of t^0, ...,
-        t^(d-1), by Newton's identities p_0 = d and
-        p_k = -(k c_{d-k} + sum_{0<j<k} c_{d-j} p_{k-j}).  They divide by
+    def _power_sums(self, c: Sequence, count: int) -> list:
+        """Power sums p_0, ..., p_{count-1} of the roots of the monic modulus
+        t^d + c_{d-1} t^(d-1) + ... + c_0, that is the traces of t^0, t^1,
+        ..., by Newton's identities p_0 = d,
+        p_k = -(k c_{d-k} + sum_{0<j<k} c_{d-j} p_{k-j}) for k <= d and
+        p_k = -sum_{0<j<=d} c_{d-j} p_{k-j} for k > d.  They divide by
         nothing, so they hold in characteristic p as well."""
         d = len(c) - 1
         sums = [self.base_from_int(d)]
-        for k in range(1, d):
-            acc = self.bmul(self.base_from_int(k), c[d - k])
-            for j in range(1, k):
+        for k in range(1, count):
+            acc = self.bmul(self.base_from_int(k), c[d - k]) if k <= d else 0
+            for j in range(1, min(k, d + 1)):
                 if c[d - j]:
                     acc = self.badd(acc, self.bmul(c[d - j], sums[k - j]))
             sums.append(self.bneg(acc))
         return sums
+
+    def monomial_traces(self) -> list:
+        """Tr(t^k) for 0 <= k <= 2n - 2, the traces of all products of two
+        basis monomials; computed on first use, not at construction."""
+        if self._tr_mono_wide is None:
+            self._tr_mono_wide = self._power_sums(self.ext_modulus, 2 * self.n - 1)
+        return self._tr_mono_wide
 
     def _frob_matrix(self, k: int):
         """Rows are the images of t^0, ..., t^(n-1) under x -> x^(q^k), built

@@ -1,26 +1,26 @@
-"""Independent ground truth: exhaustive enumeration and numeric character sums.
+"""Independent ground truth: exact fiber counts and numeric character sums.
 
 Nothing here consults the closed formulas.  Curve and hypersurface counts come
-from counting fibers of the trace form by full enumeration (plus, for the
-direct variants, literal scans over (x, y) pairs that do not even use the
-fiber argument), and the Gauss/character sums are summed in floating point.
+from counting fibers of the trace form exactly (plus, for the direct
+variants, literal scans over (x, y) pairs that do not even use the fiber
+argument), and the Gauss/character sums are summed in floating point.
 
 The trace-form histogram works on the F_p coordinates X of x: each base-p
 digit of Tr(a x (x^(q^i) - x)) is Q_c(X) = X G_c X^T mod p for an integer
-matrix G_c.  Adding d to coordinate k changes it by the prefix recursion
+matrix G_c, built from the trace pairing Tr(a e_j e_l) and the F_p matrix of
+the Frobenius.  Consuming coordinate m with digit d changes it by
 
-    Q_c(X + d e_k) = Q_c(X) + d lin_k(X) + d^2 G_c[k, k],
+    Q_c(X + d e_m) = Q_c(X) + d lin_m(X) + d^2 G_c[m, m],
 
-where lin_k(X) = (X (G_c + G_c^T))_k is linear, so the linear forms follow
-the same recursion.  Starting from the zero vector, the recursion builds the
-values on every assignment of the first L coordinates (p^L at most the chunk
-size), together with the linear forms of the columns not yet consumed, in
-small unsigned integer arrays reduced mod p after every step.  Each chunk
-then fixes one assignment y of the remaining top coordinates; its values are
-Q_c(low) + sum_k y_k lin_k(low) + Q_c(y) mod p, counted with bincount.  The
-chunks partition F_{q^n} by their top coordinates and every element's value
-is computed exactly, so any chunk size gives the same histogram, and memory
-is bounded by the chunk, not by q^n.
+where lin_k(X) = (X (G_c + G_c^T))_k is linear and follows the same kind of
+step.  The count therefore runs one coordinate at a time over the multiset of
+tuples (Q_c(X), lin_k(X) for the coordinates still to come), merging equal
+tuples and adding their counts; after the last coordinate the tuples are the
+values and the counts are the histogram.  No element is visited one by one,
+and no rank, character or closed form enters.  chunk_size bounds the entries
+one step may hold: the top coordinates are fixed one assignment at a time,
+as many as that static bound needs, so memory is bounded by the chunk, not by
+q^n, and any chunk size gives the same histogram.
 """
 
 from __future__ import annotations
@@ -49,64 +49,147 @@ def _check_limit(requested: int, limit: int) -> None:
         raise EnumerationLimitError(requested, limit)
 
 
-def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
-    """G[c][j][k] = c-th base-p digit of Tr(a e_j (e_k^(q^i) - e_k)) for the
-    F_p basis e_(u s + v) = t^u g^v of F_{q^n} (g the F_q generator)."""
-    t = tower
+def _g_powers(t: FieldTower, count: int) -> list:
+    """g^0, ..., g^(count-1) for the F_q generator g, whose code is p."""
+    powers = [1]
+    for _ in range(count - 1):
+        powers.append(t.bmul(powers[-1], t.p))
+    return powers
+
+
+def _spread_over_digits(vals, s: int) -> np.ndarray:
+    """vals[j][k][w] holds the entry for g^w; returns the ns x ns matrix with
+    entry vals[j][k][v + v'] at (j s + v, k s + v'), the F_p basis of F_q^n
+    being e_(j s + v) = g^v in coordinate j."""
+    arr = np.asarray(vals, dtype=np.int64)
+    n = arr.shape[0]
+    w = np.add.outer(np.arange(s), np.arange(s))
+    return arr[:, :, w].transpose(0, 2, 1, 3).reshape(n * s, n * s)
+
+
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ m % p
+        m = m @ m % p
+        e >>= 1
+    return out
+
+
+def _frobenius_fp(t: FieldTower, i: int) -> np.ndarray:
+    """The F_p matrix of x -> x^(q^i) on the basis e_(u s + v) = t^u g^v:
+    row (u, v) holds the coordinates of g^v r^u, r = t^(q^i), because the
+    map is a ring homomorphism fixing F_q.  The rows of g^v r come from the
+    matrix of multiplication by t raised to q^i."""
     n, s, p = t.n, t.s, t.p
     ns = n * s
-    basis = []
-    for u in range(n):
-        for v in range(s):
-            coeffs = [0] * n
-            coeffs[u] = p ** v
-            basis.append(tuple(coeffs))
-    fdiff = [t.xsub(t.frobenius(e, i), e) for e in basis]
-    G = np.zeros((s, ns, ns), dtype=np.int64)
-    for j in range(ns):
-        for k in range(ns):
-            val = t.bmul(a, t.trace(t.xmul(basis[j], fdiff[k])))
-            for c, digit in enumerate(t.base_digits(val)):
-                G[c, j, k] = digit
-    return G
+    mul_t = np.zeros((ns, ns), dtype=np.int64)
+    mul_t[np.arange(ns - s), np.arange(s, ns)] = 1
+    # g^v t^(n-1) -> g^v t^n = -sum_m g^v c_m t^m, digit c at column m s + c
+    top = [[t.base_digits(t.bmul(g, t.bneg(c))) for c in t.ext_modulus[:n]]
+           for g in _g_powers(t, s)]
+    mul_t[ns - s:] = np.array(top, dtype=np.int64).reshape(s, ns)
+    step = _mat_pow(mul_t, t.q ** i, p)
+    rows = [np.eye(s, ns, dtype=np.int64)]
+    for _ in range(n - 1):
+        rows.append(rows[-1] @ step % p)
+    return np.concatenate(rows)
+
+
+def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
+    """G[c][j][k] = c-th base-p digit of Tr(a e_j (e_k^(q^i) - e_k)) for the
+    F_p basis e_(u s + v) = t^u g^v of F_{q^n} (g the F_q generator).
+
+    Writing e_k^(q^i) - e_k = sum_l D[k][l] e_l over F_p gives
+    G_c = Pi_c D^T mod p, where Pi_c[j][l] is digit c of the trace pairing
+    Tr(a e_j e_l) = a g^(v + w) Tr(t^(u + m)) for j = (u, v), l = (m, w)."""
+    t = tower
+    n, s, p = t.n, t.s, t.p
+    scales = [t.bmul(a, g) for g in _g_powers(t, 2 * s - 1)]
+    by_degree = np.array([[t.bmul(c, tr) for c in scales] for tr in t.monomial_traces()],
+                         dtype=np.int64)
+    pairing = _spread_over_digits(by_degree[np.add.outer(np.arange(n), np.arange(n))], s)
+    diff = (_frobenius_fp(t, i) - np.eye(n * s, dtype=np.int64)) % p
+    return np.stack([(pairing // p ** c % p) @ diff.T % p for c in range(s)])
+
+
+def _state_exponent(s: int, low: int) -> int:
+    """log_p of the static bound on the entries one step of the count over
+    `low` coordinates holds: after m steps there are at most
+    min(p^m, p^(s (low - m + 1))) distinct tuples, and a step multiplies by p."""
+    if low == 0:
+        return 0
+    return 1 + max(min(m, s * (low - m + 1)) for m in range(low))
+
+
+def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
+    """counts[v] = #{X in F_p^N : sum_c Q_c(X) p^c = v}, Q_c(X) = X G[c] X^T
+    mod p, for the s digit matrices G of shape (s, N, N).
+
+    The low coordinates are consumed one at a time; the state is a multiset
+    of digit tuples (val_c, lin_(c,k)) for the consumed part X, with
+    val_c = Q_c(X) and lin_(c,k) = (X S_c)_k for the unconsumed low k,
+    S_c = G_c + G_c^T.  Coordinate m with digit d maps a tuple to
+    val_c + d lin_(c,m) + d^2 G_c[m, m] and lin_(c,k) + d S_c[m, k], k > m,
+    and drops lin_(c,m); equal tuples merge and their counts add.  Each
+    assignment y of the top coordinates seeds the count with the single
+    tuple (Q_c(y), (y S_c)_k); their number is chosen so that no step holds
+    more than chunk_size entries (the static bound of _state_exponent)."""
+    s, N = G.shape[0], G.shape[1]
+    S = (G + G.transpose(0, 2, 1)) % p
+    low = N
+    while low and p ** _state_exponent(s, low) > chunk_size:
+        low -= 1
+    dtype = np.min_scalar_type(p * p)  # every unreduced sum below is < p^2
+    digits = np.arange(p, dtype=np.int64)
+    # squares[c, d] = d^2 G_c[m, m]; shifts[(k - m - 1) s + c, d] = d S_c[m, k]
+    steps = [((digits ** 2 * G[:, m, m, None] % p).astype(dtype),
+              (S[:, m, m + 1:low].T.reshape(-1, 1) * digits % p).astype(dtype))
+             for m in range(low)]
+    d = digits.astype(dtype)[:, None]
+    # tuples are merged through int64 words of up to `width` base-p digits
+    width = 1
+    while p ** (width + 1) < 1 << 63:
+        width += 1
+    weights = p ** np.arange(width, dtype=np.int64)
+    G_top, S_cross = G[:, low:, low:], S[:, low:, :low]
+    hist = np.zeros(p ** s, dtype=np.int64)
+    for top in product(range(p), repeat=N - low):
+        y = np.array(top, dtype=np.int64)
+        val = np.einsum("j,cjk,k->c", y, G_top, y) % p
+        lin = (y @ S_cross % p).T.reshape(-1)
+        # rows: val_c, then lin_(c,k) at s + (k - m) s + c; one column per tuple
+        state = np.concatenate([val, lin]).astype(dtype)[:, None]
+        counts = np.ones(1, dtype=np.int64)
+        for squares, shifts in steps:
+            tuples = state.shape[1]
+            # column d * tuples + r is tuple r after digit d
+            state = np.concatenate([
+                (state[:s, None] + d * state[s:2 * s, None] + squares[:, :, None]) % p,
+                (state[2 * s:, None] + shifts[:, :, None]) % p,
+            ]).reshape(len(state) - s, p * tuples)
+            blocks = (state[k:k + width] for k in range(0, len(state), width))
+            words = [weights[:len(block)] @ block for block in blocks]
+            order = np.lexsort(words)
+            first = np.zeros(p * tuples, dtype=bool)
+            first[0] = True
+            for word in words:
+                word = word[order]
+                first[1:] |= word[1:] != word[:-1]
+            starts = np.flatnonzero(first)
+            counts = np.add.reduceat(counts[order % tuples], starts)
+            state = state[:, order[starts]]
+        # the values of distinct tuples are distinct
+        hist[weights[:s] @ state] += counts
+    if int(hist.sum()) != p ** N:
+        raise RuntimeError(f"fiber counts sum to {int(hist.sum())}, not p^{N}")
+    return hist
 
 
 def _histogram_compute(tower: FieldTower, i: int, a: int, chunk_size: int) -> ValueHistogram:
-    t = tower
-    p, s, q = t.p, t.s, t.q
-    ns = t.n * s
-    G = _digit_matrices(t, i, a)
-    S = (G + G.transpose(0, 2, 1)) % p
-    low = 0
-    while low < ns and p ** (low + 1) <= chunk_size:
-        low += 1
-    # every sum below stays under this bound until it is reduced mod p
-    dtype = np.min_scalar_type(2 * (p - 1) + max(1, ns - low) * (p - 1) ** 2)
-    d = np.arange(p, dtype=dtype)[:, None]
-    # val[c] and lin[c, k - m] over the p^m assignments of coordinates < m,
-    # the new coordinate m being the most significant
-    val = np.zeros((s, 1), dtype=dtype)
-    lin = np.zeros((s, ns, 1), dtype=dtype)
-    for m in range(low):
-        square = (np.arange(p) ** 2 * G[:, m, m, None] % p).astype(dtype)
-        val = (val[:, None, :] + d * lin[:, 0, None, :] + square[:, :, None]) % p
-        lin = (lin[:, 1:, None, :] + d * S[:, m, m + 1:, None, None].astype(dtype)) % p
-        val = val.reshape(s, p ** (m + 1))
-        lin = lin.reshape(s, ns - m - 1, p ** (m + 1))
-    G_top = G[:, low:, low:]
-    hist = np.zeros(q, dtype=np.int64)
-    for top in product(range(p), repeat=ns - low):
-        y = np.array(top, dtype=np.int64)
-        acc = val + (np.einsum("j,cjk,k->c", y, G_top, y) % p).astype(dtype)[:, None]
-        for k, yk in enumerate(top):
-            if yk:
-                acc += yk * lin[:, k]
-        acc %= p
-        value = acc[0].astype(np.intp)
-        for c in range(1, s):
-            value += acc[c].astype(np.intp) * p ** c
-        hist += np.bincount(value, minlength=q)
-    return {c: int(hist[c]) for c in range(q)}
+    hist = _fiber_counts(_digit_matrices(tower, i, a), tower.p, chunk_size)
+    return {c: int(hist[c]) for c in range(tower.q)}
 
 
 def qf_histogram(tower: FieldTower, i: int, a: int,
@@ -114,9 +197,10 @@ def qf_histogram(tower: FieldTower, i: int, a: int,
                  chunk_size: Optional[int] = None) -> ValueHistogram:
     """Fiber sizes #{x in F_{q^n} : Tr(a x (x^(q^i) - x)) = c} for every c in F_q.
 
-    Full enumeration of q^n elements; refuses when q^n > limit.  Passing an
-    explicit chunk_size (at least 1; a chunk holds the largest power of p not
-    above it) bypasses the cache (used to test partition invariance).
+    An exact count over the F_p coordinates of x, not an element-by-element
+    scan; refuses when q^n > limit.  chunk_size (at least 1) bounds the tuples
+    one step of the count holds, and so its memory; passing it explicitly
+    bypasses the cache (used to test that the split does not matter).
     """
     t = tower
     if not 0 < i < t.n:
@@ -215,23 +299,18 @@ def gauss_sum_reference(p: int, s: int) -> complex:
 
 
 def char_sum_numeric(tower: FieldTower, H) -> complex:
-    """Sum of e^(2 pi i TrAbs(X H X^T)/p) over all X in F_q^n; q^n <= 10^4."""
+    """Sum of e^(2 pi i TrAbs(X H X^T)/p) over all X in F_q^n; q^n <= 10^4.
+
+    TrAbs(X H X^T) is a quadratic form over F_p in the ns coordinates of X,
+    with matrix entries TrAbs(g^(v + v') H_jk); its p fibers are counted
+    exactly, so the only rounding is in the sum of p phases."""
     t = tower
     n, q, p = t.n, t.q, t.p
     if len(H) != n or any(len(row) != n for row in H):
         raise ValueError("H must be n x n")
     _check_limit(q ** n, 10_000)
-    phases = [cmath.exp(2j * cmath.pi * k / p) for k in range(p)]
-    total = 0j
-    for X in product(range(q), repeat=n):
-        v = 0
-        for j in range(n):
-            if X[j] == 0:
-                continue
-            row = 0
-            for k in range(n):
-                if X[k] and H[j][k]:
-                    row = t.badd(row, t.bmul(H[j][k], X[k]))
-            v = t.badd(v, t.bmul(X[j], row))
-        total += phases[t.base_trace_to_prime(v)]
-    return total
+    powers = _g_powers(t, 2 * t.s - 1)
+    vals = [[[t.base_trace_to_prime(t.bmul(g, h)) for g in powers] for h in row]
+            for row in H]
+    counts = _fiber_counts(_spread_over_digits(vals, t.s)[None], p, _CHUNK)
+    return sum(int(counts[c]) * cmath.exp(2j * cmath.pi * c / p) for c in range(p))

@@ -112,6 +112,23 @@ def test_base_arithmetic_table_vs_digits():
             assert t.bsub(a, b) == want
 
 
+@pytest.mark.parametrize("ps", [(3, 3), (5, 3), (7, 3), (13, 2)])
+def test_base_addition_tables_are_digitwise(ps):
+    # the tables are built row by row from the (s-1)-digit table
+    t = build_tower(*ps, 1)
+    p, q = t.p, t.q
+    assert t._add is not None and t._sub is not None
+    digits = [t.base_digits(a) for a in range(q)]
+    for a in range(q):
+        da = digits[a]
+        for b in range(q):
+            db = digits[b]
+            assert t._add[a * q + b] == t.base_from_digits(
+                [(x + y) % p for x, y in zip(da, db)])
+            assert t._sub[a * q + b] == t.base_from_digits(
+                [(x - y) % p for x, y in zip(da, db)])
+
+
 def test_base_mul_group_structure():
     t = build_tower(3, 2, 2)
     for a in range(1, t.q):
@@ -217,6 +234,19 @@ def test_trace_is_sum_of_conjugates(psn):
             acc = t.xadd(acc, conj)
         assert acc[1:] == t.zero[1:]
         assert t.trace(x) == acc[0]
+
+
+@pytest.mark.parametrize("psn", [(3, 1, 2), (3, 1, 7), (5, 1, 5), (3, 2, 4), (7, 2, 3), (3, 3, 3)])
+def test_monomial_traces_past_the_degree(psn):
+    # Tr(t^k) up to k = 2n - 2 continues the power sums past k = n - 1
+    t = build_tower(*psn)
+    gen = tuple(1 if j == 1 else 0 for j in range(t.n))
+    traces = t.monomial_traces()
+    assert len(traces) == 2 * t.n - 1
+    power = t.one
+    for k, tr in enumerate(traces):
+        assert tr == t.trace(power), (psn, k)
+        power = t.xmul(power, gen)
 
 
 def test_base_trace_to_prime_example():

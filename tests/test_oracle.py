@@ -1,8 +1,10 @@
 """Enumeration oracles, convolution, numeric Gauss and character sums."""
 
+import cmath
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -59,7 +61,8 @@ def test_qf_histogram_matches_per_element_reference():
 
 
 def test_qf_histogram_chunking_invariant():
-    for p, s, n, i, a in [(3, 1, 4, 1, 1), (3, 1, 4, 3, 2), (3, 2, 3, 1, 5), (3, 2, 3, 2, 1)]:
+    for p, s, n, i, a in [(3, 1, 4, 1, 1), (3, 1, 4, 3, 2), (3, 2, 3, 1, 5), (3, 2, 3, 2, 1),
+                          (3, 3, 2, 1, 1), (3, 3, 2, 1, 17)]:
         t = build_tower(p, s, n)
         total = t.q ** n
         want = _reference_histogram(t, i, a)
@@ -69,6 +72,51 @@ def test_qf_histogram_chunking_invariant():
             chunks |= {p ** k - 1, p ** k + 1}
         for chunk in sorted(chunks):
             assert qf_histogram(t, i, a, chunk_size=chunk) == want, (p, s, n, chunk)
+
+
+def test_qf_histogram_matches_reference_wide_digits():
+    # 5 digits of val and 50 of lin at the first step: 3^55 > 2^63, so the
+    # tuples cannot be merged through a single int64 key
+    t = build_tower(3, 5, 2)
+    for a in (1, 200):
+        assert qf_histogram(t, 1, a) == _reference_histogram(t, 1, a), a
+
+
+def _definition_digit_matrices(t, i, a):
+    """G[c][j][k] = digit c of Tr(a e_j (e_k^(q^i) - e_k)), one product per entry."""
+    basis = [tuple(t.p ** v if m == u else 0 for m in range(t.n))
+             for u in range(t.n) for v in range(t.s)]
+    diffs = [t.xsub(t.frobenius(e, i), e) for e in basis]
+    return [[[t.base_digits(t.bmul(a, t.trace(t.xmul(ej, dk))))[c] for dk in diffs]
+             for ej in basis] for c in range(t.s)]
+
+
+def test_digit_matrices_match_definition():
+    from artinschreier.oracle import _digit_matrices
+
+    for p, s, n in [(3, 1, 5), (3, 2, 3), (5, 1, 4), (3, 3, 2), (5, 2, 3), (7, 3, 2)]:
+        t = build_tower(p, s, n)
+        for i in range(1, n):
+            for a in sorted({1, 2, t.q - 1}):
+                assert _digit_matrices(t, i, a).tolist() == \
+                    _definition_digit_matrices(t, i, a), (p, s, n, i, a)
+
+
+def test_qf_histogram_memory_bounded_by_chunk():
+    import tracemalloc
+
+    from artinschreier import oracle
+
+    t = build_tower(3, 7, 2)  # 3^14 elements
+    tracemalloc.start()
+    try:
+        # an explicit chunk bypasses the cache, so the count really runs
+        hist = qf_histogram(t, 1, 1, chunk_size=oracle._CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(hist.values()) == t.q ** t.n
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_qf_histogram_cache_returns_copies():
@@ -229,6 +277,32 @@ def test_char_sum_congruence_invariant():
                         acc = t.badd(acc, t.bmul(t.bmul(C[j][u], H[u][v]), C[l][v]))
                 HC[j][l] = acc
         assert abs(char_sum_numeric(t, HC) - want) < 1e-9
+
+
+def _per_x_char_sum(t, H):
+    """Sum of e^(2 pi i TrAbs(X H X^T)/p) evaluated at every X separately."""
+    n, p = t.n, t.p
+    total = 0j
+    for X in product(range(t.q), repeat=n):
+        v = 0
+        for j in range(n):
+            for k in range(n):
+                v = t.badd(v, t.bmul(X[j], t.bmul(H[j][k], X[k])))
+        total += cmath.exp(2j * cmath.pi * t.base_trace_to_prime(v) / p)
+    return total
+
+
+def test_char_sum_matches_per_x_sum():
+    rng = random.Random(107)
+    for p, s, n in [(3, 1, 4), (3, 2, 3), (5, 1, 3), (7, 1, 3)]:
+        t = build_tower(p, s, n)
+        for symmetric in (True, False):
+            for _ in range(3):
+                H = [[rng.randrange(t.q) for _ in range(n)] for _ in range(n)]
+                if symmetric:
+                    H = [[H[min(j, k)][max(j, k)] for k in range(n)] for j in range(n)]
+                assert abs(char_sum_numeric(t, H) - _per_x_char_sum(t, H)) < 1e-9, \
+                    (p, s, n, H)
 
 
 def test_char_sum_refuses_oversize():
