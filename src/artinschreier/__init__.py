@@ -18,21 +18,21 @@ from .counting import (CountReport, CurveSpec, HypersurfaceInvariants,
                        weil_bounds)
 from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower,
                      build_tower, tau_power)
-from .quadforms import (DiagonalizationResult, ExactValue, RankCharPrediction,
-                        build_Mni, build_gram, char_sum_closed_form,
-                        congruence_diagonalize, count_qf_solutions,
-                        det_Mn_integer, find_special_basis, fq_matrix_rank,
-                        predict_rank_char, rank_and_char)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FieldTower", "build_tower", "tau_power",
+# bound on first use by __getattr__ below, like the oracle names
+_QUADFORMS_NAMES = (
     "DiagonalizationResult", "ExactValue", "RankCharPrediction",
     "build_Mni", "build_gram", "char_sum_closed_form",
     "congruence_diagonalize", "count_qf_solutions", "det_Mn_integer",
     "find_special_basis", "fq_matrix_rank", "predict_rank_char",
     "rank_and_char",
+)
+
+__all__ = [
+    "FieldTower", "build_tower", "tau_power",
+    *_QUADFORMS_NAMES,
     "CountReport", "CurveSpec", "HypersurfaceInvariants", "HypersurfaceSpec",
     "WeilBounds", "classify_curve", "classify_curve_detail",
     "classify_hypersurface", "classify_hypersurface_detail", "count_curve",
@@ -45,8 +45,11 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the oracles need numpy, which the closed forms never load, so the
-    # names of __all__ not bound above come from .oracle on first use
+    # a closed-form count needs neither quadforms nor the oracles (which load
+    # numpy), so the names of __all__ not bound above come from them on first use
+    if name in _QUADFORMS_NAMES:
+        from . import quadforms
+        return getattr(quadforms, name)
     if name in __all__:
         from . import oracle
         return getattr(oracle, name)

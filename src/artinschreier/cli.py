@@ -19,7 +19,6 @@ lambda policies are seeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -235,6 +234,7 @@ def _cmd_sweep(args) -> int:
     header = ["p", "s", "n", "i_list", "a_list", "trace_lambda", "closed_form",
               "oracle", "bound_lower", "bound_upper", "classification"]
     jsonl = args.format == "jsonl"
+    import csv  # only sweep writes CSV; loaded here to keep it off the other commands
     out = csv.writer(sys.stdout, lineterminator="\n")
     if not jsonl:
         out.writerow(header)

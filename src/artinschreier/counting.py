@@ -19,77 +19,93 @@ are "even"/"odd" after the parity of nr - D1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-from .fields import FieldTower, tau_power
+from .fields import FieldTower, Record, tau_power
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    tower: FieldTower
-    i: int
-    lam: tuple
+class CurveSpec(Record):
+    __slots__ = ("tower", "i", "lam")
 
-    def __post_init__(self):
-        if not 0 < self.i < self.tower.n:
-            raise ValueError(f"need 0 < i < n, got i={self.i}, n={self.tower.n}")
-        if len(self.lam) != self.tower.n:
+    def __init__(self, tower: FieldTower, i: int, lam: tuple):
+        if not 0 < i < tower.n:
+            raise ValueError(f"need 0 < i < n, got i={i}, n={tower.n}")
+        if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
-    tower: FieldTower
-    terms: tuple  # ((a_1, i_1), ..., (a_r, i_r)), a_j in F_q*, 0 < i_j < n
-    lam: tuple
+class HypersurfaceSpec(Record):
+    __slots__ = ("tower", "terms", "lam")
 
-    def __post_init__(self):
-        if len(self.terms) < 1:
+    def __init__(self, tower: FieldTower, terms: tuple, lam: tuple):
+        # terms = ((a_1, i_1), ..., (a_r, i_r)), a_j in F_q*, 0 < i_j < n
+        if len(terms) < 1:
             raise ValueError("need at least one term")
-        for a, i in self.terms:
-            if a == 0 or not 0 < a < self.tower.q:
+        for a, i in terms:
+            if a == 0 or not 0 < a < tower.q:
                 raise ValueError(f"coefficient a={a} is not in F_q*")
-            if not 0 < i < self.tower.n:
-                raise ValueError(f"need 0 < i_j < n, got i_j={i}, n={self.tower.n}")
-        if len(self.lam) != self.tower.n:
+            if not 0 < i < tower.n:
+                raise ValueError(f"need 0 < i_j < n, got i_j={i}, n={tower.n}")
+        if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def r(self) -> int:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class WeilBounds:
-    lower: int
-    upper: int
-    half_integral: bool  # the real bound has a half-integral q-exponent; floor stored
+class WeilBounds(Record):
+    __slots__ = ("lower", "upper", "half_integral")
+
+    def __init__(self, lower: int, upper: int, half_integral: bool):
+        # half_integral: the real bound has a half-integral q-exponent; floor stored
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "half_integral", half_integral)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    closed_form: int
-    trace_lambda: int
-    bound_lower: int
-    bound_upper: int
-    classification: str  # "Maximal" | "Minimal" | "Neither"
-    branch: str
-    half_integral_bound: bool
-    oracle_count: Optional[int] = None
+class CountReport(Record):
+    __slots__ = ("closed_form", "trace_lambda", "bound_lower", "bound_upper",
+                 "classification", "branch", "half_integral_bound", "oracle_count")
+
+    def __init__(self, closed_form: int, trace_lambda: int, bound_lower: int,
+                 bound_upper: int, classification: str, branch: str,
+                 half_integral_bound: bool, oracle_count: Optional[int] = None):
+        # classification is "Maximal" | "Minimal" | "Neither"
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "trace_lambda", trace_lambda)
+        object.__setattr__(self, "bound_lower", bound_lower)
+        object.__setattr__(self, "bound_upper", bound_upper)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "half_integral_bound", half_integral_bound)
+        object.__setattr__(self, "oracle_count", oracle_count)
 
 
-@dataclass(frozen=True)
-class HypersurfaceInvariants:
-    X: tuple  # indices j with gcd(l_j, p) = 1
-    Y: tuple  # indices j with p | l_j
-    D1: int
-    D2: int
-    L1: int  # F_q element: prod over X of l_j^(d_j)
-    A1: int  # F_q element: prod over X of a_j^(n - d_j)
-    A2: int  # F_q element: prod over Y of a_j^n
-    A: int
-    I: int
+class HypersurfaceInvariants(Record):
+    """X, Y: indices j with gcd(l_j, p) = 1 and with p | l_j.  L1, A1, A2
+    are F_q elements: prod over X of l_j^(d_j), prod over X of a_j^(n - d_j)
+    and prod over Y of a_j^n; A = A1 A2."""
+
+    __slots__ = ("X", "Y", "D1", "D2", "L1", "A1", "A2", "A", "I")
+
+    def __init__(self, X: tuple, Y: tuple, D1: int, D2: int, L1: int,
+                 A1: int, A2: int, A: int, I: int):
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "D1", D1)
+        object.__setattr__(self, "D2", D2)
+        object.__setattr__(self, "L1", L1)
+        object.__setattr__(self, "A1", A1)
+        object.__setattr__(self, "A2", A2)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "I", I)
 
 
 def eps(alpha: int, q: int) -> int:
@@ -135,7 +151,8 @@ def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     center = q ** (n * r)
     dev = math.isqrt((q - 1) ** 2 * q ** exponent)
     half = (t.s * exponent) % 2 == 1
-    assert (dev * dev == (q - 1) ** 2 * q ** exponent) == (not half)
+    if (dev * dev == (q - 1) ** 2 * q ** exponent) == half:
+        raise RuntimeError("half-integral flag disagrees with the Weil deviation")
     return WeilBounds(lower=center - dev, upper=center + dev, half_integral=half)
 
 
@@ -190,8 +207,8 @@ def count_curve(spec: CurveSpec) -> CountReport:
             count = q ** n - eps(trl, q) * t.quadratic_character(arg) * q ** ((n + 2 * d) // 2)
     bounds = weil_bounds(spec)
     classification = _classify_by_bounds(count, bounds)
-    if __debug__:
-        assert classification == classify_curve(spec), "condition bundle disagrees with bounds"
+    if classification != classify_curve(spec):
+        raise RuntimeError("condition bundle disagrees with bounds")
     return CountReport(closed_form=count, trace_lambda=trl,
                        bound_lower=bounds.lower, bound_upper=bounds.upper,
                        classification=classification, branch=branch,
@@ -272,9 +289,8 @@ def count_hypersurface(spec: HypersurfaceSpec) -> CountReport:
             count = center + (1 if iexp == 0 else -1) * q ** (nr - (sum_rank - 1) // 2)
     bounds = weil_bounds(spec)
     classification = _classify_by_bounds(count, bounds)
-    if __debug__:
-        assert classification == classify_hypersurface(spec), \
-            "condition bundle disagrees with bounds"
+    if classification != classify_hypersurface(spec):
+        raise RuntimeError("condition bundle disagrees with bounds")
     return CountReport(closed_form=count, trace_lambda=trl,
                        bound_lower=bounds.lower, bound_upper=bounds.upper,
                        classification=classification, branch=branch,
@@ -347,15 +363,16 @@ def classify_hypersurface_detail(spec: HypersurfaceSpec) -> Tuple[str, dict]:
               and conditions["nrEven"] and conditions["YExponentsEqualGcd"])
     if prefix:
         sum_rank, iexp, chi_arg = _term_units(t, spec.terms)
-        assert sum_rank == nr - 2 * inv.D2 and sum_rank % 2 == 0
+        if sum_rank != nr - 2 * inv.D2 or sum_rank % 2:
+            raise RuntimeError("rank sum is not the even nr - 2 D2")
         mod4 = (s * sum_rank) % 4
         tau_factor = 1 if (2 * (s + 1) * sum_rank + tau_power(p, s * sum_rank)) % 4 == 0 else -1
         chi_sign = ((-1) ** ((n + 1) * len(inv.Y))) * t.quadratic_character(chi_arg)
         sign = tau_factor * chi_sign
         conditions["tauExponentMod4"] = mod4
-        if __debug__:
-            folded = (iexp + (0 if t.quadratic_character(chi_arg) == 1 else 2)) % 4
-            assert folded % 2 == 0 and sign == (1 if folded == 0 else -1)
+        folded = (iexp + (0 if t.quadratic_character(chi_arg) == 1 else 2)) % 4
+        if folded % 2 or sign != (1 if folded == 0 else -1):
+            raise RuntimeError("attained end disagrees with the unit of the count")
     conditions["tauFactor"] = tau_factor
     conditions["chiSign"] = chi_sign
     conditions["sign"] = sign

@@ -33,6 +33,40 @@ _ADD_TABLE_MAX_Q = 1 << 9  # q*q add/sub lookup tables below this
 DEFAULT_LIMIT = 10_000_000
 
 
+class Record:
+    """Immutable value record.  A subclass names its fields in __slots__ and
+    sets each one in its own __init__ with object.__setattr__; equality
+    (within one class), hashing, repr and copying go by the fields in that
+    order.  Plain classes keep a CLI process from importing the standard
+    library's record generator, which costs more than a closed-form count."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class EnumerationLimitError(RuntimeError):
     """Raised instead of starting an enumeration that exceeds the limit."""
 
@@ -229,8 +263,13 @@ class FieldTower:
         self.base_modulus = tuple(fp.least_irreducible(s))
         self._init_base_tables()
 
-        fq = _PolyOps(p, s, self.bmul, self.binv, self._bscale_add,
-                      lambda a: self.bpow(a, p) if s > 1 else a)
+        # a -> a^p on F_q, one table lookup when the log tables exist
+        if s > 1 and self._exp is not None:
+            exp, log, qm1 = self._exp, self._log, self.q - 1
+            frob = lambda a: exp[log[a] * p % qm1] if a else 0
+        else:
+            frob = lambda a: self.bpow(a, p) if s > 1 else a
+        fq = _PolyOps(p, s, self.bmul, self.binv, self._bscale_add, frob)
         self.ext_modulus = tuple(fq.least_irreducible(n))
         self._init_ext_tables()
 
@@ -257,7 +296,8 @@ class FieldTower:
             if all(self._bpow_generic(cand, (q - 1) // ell) != 1 for ell in factors):
                 g = cand
                 break
-        assert g is not None
+        if g is None:
+            raise RuntimeError(f"no primitive element of F_{q} found")
         exp = [1] * (q - 1)
         for k in range(1, q - 1):
             exp[k] = self._bmul_generic(exp[k - 1], g)

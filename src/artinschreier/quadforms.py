@@ -10,26 +10,31 @@ as a fourth root of unity times a half-integral power of q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import FieldTower, FourthRootUnit, build_tower, tau_power
+from .fields import FieldTower, FourthRootUnit, Record, build_tower, tau_power
 
 
-@dataclass(frozen=True)
-class DiagonalizationResult:
+class DiagonalizationResult(Record):
     """Invertible M with M H M^T = diag(diagonal); nonzero entries lead."""
-    transform: list
-    diagonal: list
-    rank: int
+
+    __slots__ = ("transform", "diagonal", "rank")
+
+    def __init__(self, transform: list, diagonal: list, rank: int):
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class ExactValue(Record):
     """unit * q^(half_power_of_q / 2), unit = i^i_exponent; or exactly zero."""
-    i_exponent: FourthRootUnit
-    half_power_of_q: int
-    zero: bool = False
+
+    __slots__ = ("i_exponent", "half_power_of_q", "zero")
+
+    def __init__(self, i_exponent: FourthRootUnit, half_power_of_q: int, zero: bool = False):
+        object.__setattr__(self, "i_exponent", i_exponent)
+        object.__setattr__(self, "half_power_of_q", half_power_of_q)
+        object.__setattr__(self, "zero", zero)
 
     def is_real(self) -> bool:
         return self.zero or self.i_exponent % 2 == 0
@@ -50,10 +55,12 @@ class ExactValue:
         return unit * math.sqrt(q) ** self.half_power_of_q
 
 
-@dataclass(frozen=True)
-class RankCharPrediction:
-    rank: int
-    character: int
+class RankCharPrediction(Record):
+    __slots__ = ("rank", "character")
+
+    def __init__(self, rank: int, character: int):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "character", character)
 
 
 def build_Mni(p: int, n: int, i: int) -> list:
@@ -185,7 +192,8 @@ def congruence_diagonalize(tower: FieldTower, H: Sequence) -> DiagonalizationRes
                 add_row_col(k, j, tower.bneg(tower.bmul(D[k][j], inv)))
     diagonal = [D[j][j] for j in range(n)]
     rank = sum(1 for v in diagonal if v != 0)
-    assert all(v != 0 for v in diagonal[:rank]) and all(v == 0 for v in diagonal[rank:])
+    if any(v == 0 for v in diagonal[:rank]) or any(v != 0 for v in diagonal[rank:]):
+        raise RuntimeError("nonzero diagonal entries do not lead")
     return DiagonalizationResult(transform=M, diagonal=diagonal, rank=rank)
 
 
@@ -253,7 +261,8 @@ def find_special_basis(tower: FieldTower) -> list:
     mat = [[cols[k][r] for k in range(n)] for r in range(n)]
     kernel = _fq_kernel(tower, mat)
     beta = next((tuple(v) for v in kernel if any(c != 0 for c in v[1:])), None)
-    assert beta is not None, "kernel contained no element outside F_q"
+    if beta is None:
+        raise RuntimeError("kernel contained no element outside F_q")
     basis = [beta, tower.one]
     for k in range(n):
         mono = tuple(1 if j == k else 0 for j in range(n))

@@ -1,0 +1,56 @@
+"""The library's internal cross-checks are explicit raises, so they stay on
+under ``python -O``, which strips assert statements and ``if __debug__``."""
+
+import ast
+import glob
+import os
+import subprocess
+import sys
+
+import artinschreier
+
+SRC = os.path.dirname(artinschreier.__file__)
+
+WRONG_LABEL_RUNS = """
+import sys
+from artinschreier import counting
+from artinschreier.fields import build_tower
+print(sys.flags.optimize)
+t = build_tower(3, 1, 6)
+counting.classify_curve = lambda spec: "wrong"
+counting.classify_hypersurface = lambda spec: "wrong"
+for spec, count in ((counting.CurveSpec(t, 1, t.zero), counting.count_curve),
+                    (counting.HypersurfaceSpec(t, ((1, 1), (2, 2)), t.zero),
+                     counting.count_hypersurface)):
+    try:
+        count(spec)
+    except RuntimeError as exc:
+        print(exc)
+    else:
+        print("no error")
+"""
+
+
+def _run_optimized(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_disagreeing_classification_raises_under_O():
+    proc = _run_optimized(WRONG_LABEL_RUNS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1"] + ["condition bundle disagrees with bounds"] * 2
+
+
+def test_sources_hold_no_assert_and_no_debug_guard():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert len(paths) >= 6
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert "__debug__" not in text, path
+        asserts = [node.lineno for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Assert)]
+        assert asserts == [], (path, asserts)
