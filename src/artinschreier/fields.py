@@ -37,8 +37,9 @@ class Record:
     """Immutable value record.  A subclass names its fields in __slots__ and
     sets each one in its own __init__ with object.__setattr__; equality
     (within one class), hashing, repr and copying go by the fields in that
-    order.  Plain classes keep a CLI process from importing the standard
-    library's record generator, which costs more than a closed-form count."""
+    order.  Plain classes spare a CLI process the standard-library module
+    that generates such classes with exec: importing it costs more than a
+    closed-form count."""
 
     __slots__ = ()
 
