@@ -299,6 +299,77 @@ def test_classification_matches_bounds_sampled():
                 assert r.classification == want
 
 
+# ------------------------------------------------ the curve theorem in full
+
+
+def _curve_theorem(t, i, trl):
+    """The paper's curve count and its Weil-bound attainment, written out
+    without the library's per-term core: (N, branch, condition bundle).
+
+    With d = gcd(i, n) and l = n/d:
+      l coprime to p, n+d odd:   N = q^n - chi(2 (-1)^((n-d+1)/2) Tr(lam) l^d) q^((n+d+1)/2)
+      l coprime to p, n+d even:  N = q^n + eps(Tr(lam)) chi((-1)^((n-d)/2) l^d) q^((n+d)/2)
+      p | l, n odd:              N = q^n + chi(2 (-1)^((n+1)/2) Tr(lam)) q^((n+2d+1)/2)
+      p | l, n even:             N = q^n - eps(Tr(lam)) chi((-1)^(n/2)) q^((n+2d)/2)
+    A bound is attained iff Tr(lam) = 0, n is even, i | n and p | n/i, and
+    the attained end is sign = -chi((-1)^(n/2)): +1 Maximal, -1 Minimal.
+    """
+    q, n, p = t.q, t.n, t.p
+    chi = t.quadratic_character
+    d = math.gcd(i, n)
+    l = n // d
+    two_trl = t.bmul(t.base_from_int(2), trl)
+    if l % p:
+        ld = t.bpow(t.base_from_int(l), d)
+        if (n + d) % 2:
+            branch = "coprime-odd"
+            arg = t.bmul(t.bmul(two_trl, ld), t.base_from_int((-1) ** ((n - d + 1) // 2)))
+            count = q ** n - chi(arg) * q ** ((n + d + 1) // 2)
+        else:
+            branch = "coprime-even"
+            arg = t.bmul(ld, t.base_from_int((-1) ** ((n - d) // 2)))
+            count = q ** n + eps(trl, q) * chi(arg) * q ** ((n + d) // 2)
+    elif n % 2:
+        branch = "multiple-odd"
+        arg = t.bmul(two_trl, t.base_from_int((-1) ** ((n + 1) // 2)))
+        count = q ** n + chi(arg) * q ** ((n + 2 * d + 1) // 2)
+    else:
+        branch = "multiple-even"
+        arg = t.base_from_int((-1) ** (n // 2))
+        count = q ** n - eps(trl, q) * chi(arg) * q ** ((n + 2 * d) // 2)
+    bundle = {"traceLambdaZero": trl == 0, "nEven": n % 2 == 0,
+              "iDividesN": n % i == 0,
+              "pDividesNOverI": n % i == 0 and (n // i) % p == 0}
+    attained = all(bundle.values())
+    bundle["sign"] = -chi(t.base_from_int((-1) ** (n // 2))) if attained else None
+    return count, branch, bundle
+
+
+def test_curve_theorem_reference():
+    # p in {3,5,7,11,13}, s in {1,2}, 2 <= n <= 18, every i, three lambdas:
+    # zero, 1 (trace n, zero exactly when p | n) and a random element
+    rng = random.Random(127)
+    labels = {1: "Maximal", -1: "Minimal", None: "Neither"}
+    checked = 0
+    for p in (3, 5, 7, 11, 13):
+        for s in (1, 2):
+            for n in range(2, 19):
+                t = build_tower(p, s, n)
+                lams = (t.zero, t.embed(1), t.random_element(rng))
+                for i in range(1, n):
+                    for lam in lams:
+                        spec = CurveSpec(t, i, lam)
+                        count, branch, bundle = _curve_theorem(t, i, t.trace(lam))
+                        rep = count_curve(spec)
+                        where = (p, s, n, i, lam)
+                        assert (rep.closed_form, rep.branch) == (count, branch), where
+                        label, got = classify_curve_detail(spec)
+                        assert list(got.items()) == list(bundle.items()), where
+                        assert label == rep.classification == labels[bundle["sign"]], where
+                        checked += 1
+    assert checked == 4590
+
+
 # -------------------------------------------------------------- validation
 
 

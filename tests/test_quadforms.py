@@ -243,6 +243,211 @@ def test_predict_agrees_with_gram_small():
                 assert got == (pred.rank, pred.character), (p, s, n, i)
 
 
+# (rank, character) of predict_rank_char for i = 1..n-1, one string per n = 2..18,
+# over the range its docstring claims; recorded from the inline-branch
+# implementation so that moving the per-term derivation cannot change a value.
+PREDICT_GOLDEN = {
+    (3, 1): (
+        "1+",
+        "1- 1-",
+        "3- 2+ 3-",
+        "4- 4- 4- 4-",
+        "4+ 2- 3+ 2- 4+",
+        "6+ 6+ 6+ 6+ 6+ 6+",
+        "7+ 6+ 7+ 4+ 7+ 6+ 7+",
+        "7- 7- 3- 7- 7- 3- 7- 7-",
+        "9- 8+ 9- 8+ 5+ 8+ 9- 8+ 9-",
+        "10- 10- 10- 10- 10- 10- 10- 10- 10- 10-",
+        "10+ 8- 9- 4- 10+ 6+ 10+ 4- 9- 8- 10+",
+        "12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+",
+        "13+ 12+ 13+ 12+ 13+ 12+ 7+ 12+ 13+ 12+ 13+ 12+ 13+",
+        "13- 13- 12- 13- 5- 12- 13- 13- 12- 5- 13- 12- 13- 13-",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16-",
+        "16+ 14- 12+ 14- 16+ 6- 16+ 14- 9+ 14- 16+ 6- 16+ 14- 12+ 14- 16+",
+    ),
+    (3, 2): (
+        "1-",
+        "1+ 1+",
+        "3- 2+ 3-",
+        "4+ 4+ 4+ 4+",
+        "4- 2- 3- 2- 4-",
+        "6+ 6+ 6+ 6+ 6+ 6+",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "7+ 7+ 3+ 7+ 7+ 3+ 7+ 7+",
+        "9- 8+ 9- 8+ 5- 8+ 9- 8+ 9-",
+        "10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+",
+        "10- 8- 9- 4- 10- 6+ 10- 4- 9- 8- 10-",
+        "12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+",
+        "13- 12+ 13- 12+ 13- 12+ 7- 12+ 13- 12+ 13- 12+ 13-",
+        "13+ 13+ 12+ 13+ 5+ 12+ 13+ 13+ 12+ 5+ 13+ 12+ 13+ 13+",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+",
+        "16- 14- 12- 14- 16- 6- 16- 14- 9- 14- 16- 6- 16- 14- 12- 14- 16-",
+    ),
+    (5, 1): (
+        "1-",
+        "2- 2-",
+        "3+ 2+ 3+",
+        "3- 3- 3- 3-",
+        "5+ 4+ 3- 4+ 5+",
+        "6- 6- 6- 6- 6- 6-",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "8+ 8+ 6- 8+ 8+ 6- 8+ 8+",
+        "8- 6- 8- 6- 5- 6- 8- 6- 8-",
+        "10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+",
+        "11- 10+ 9+ 8+ 11- 6+ 11- 8+ 9+ 10+ 11-",
+        "12- 12- 12- 12- 12- 12- 12- 12- 12- 12- 12- 12-",
+        "13+ 12+ 13+ 12+ 13+ 12+ 7- 12+ 13+ 12+ 13+ 12+ 13+",
+        "13- 13- 9- 13- 10- 9- 13- 13- 9- 10- 13- 9- 13- 13-",
+        "15+ 14+ 15+ 12+ 15+ 14+ 15+ 8+ 15+ 14+ 15+ 12+ 15+ 14+ 15+",
+        "16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16-",
+        "17- 16+ 15+ 16+ 17- 12+ 17- 16+ 9- 16+ 17- 12+ 17- 16+ 15+ 16+ 17-",
+    ),
+    (5, 2): (
+        "1-",
+        "2+ 2+",
+        "3- 2+ 3-",
+        "3+ 3+ 3+ 3+",
+        "5- 4+ 3- 4+ 5-",
+        "6+ 6+ 6+ 6+ 6+ 6+",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "8+ 8+ 6+ 8+ 8+ 6+ 8+ 8+",
+        "8- 6- 8- 6- 5- 6- 8- 6- 8-",
+        "10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+",
+        "11- 10+ 9- 8+ 11- 6+ 11- 8+ 9- 10+ 11-",
+        "12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+",
+        "13- 12+ 13- 12+ 13- 12+ 7- 12+ 13- 12+ 13- 12+ 13-",
+        "13+ 13+ 9+ 13+ 10+ 9+ 13+ 13+ 9+ 10+ 13+ 9+ 13+ 13+",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+",
+        "17- 16+ 15- 16+ 17- 12+ 17- 16+ 9- 16+ 17- 12+ 17- 16+ 15- 16+ 17-",
+    ),
+    (7, 1): (
+        "1+",
+        "2- 2-",
+        "3+ 2+ 3+",
+        "4- 4- 4- 4-",
+        "5- 4+ 3+ 4+ 5-",
+        "5+ 5+ 5+ 5+ 5+ 5+",
+        "7+ 6+ 7+ 4+ 7+ 6+ 7+",
+        "8+ 8+ 6- 8+ 8+ 6- 8+ 8+",
+        "9- 8+ 9- 8+ 5+ 8+ 9- 8+ 9-",
+        "10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+",
+        "11- 10+ 9+ 8+ 11- 6+ 11- 8+ 9+ 10+ 11-",
+        "12- 12- 12- 12- 12- 12- 12- 12- 12- 12- 12- 12-",
+        "12+ 10- 12+ 10- 12+ 10- 7+ 10- 12+ 10- 12+ 10- 12+",
+        "14+ 14+ 12- 14+ 10- 12- 14+ 14+ 12- 10- 14+ 12- 14+ 14+",
+        "15+ 14+ 15+ 12+ 15+ 14+ 15+ 8+ 15+ 14+ 15+ 12+ 15+ 14+ 15+",
+        "16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16-",
+        "17+ 16+ 15- 16+ 17+ 12+ 17+ 16+ 9+ 16+ 17+ 12+ 17+ 16+ 15- 16+ 17+",
+    ),
+    (7, 2): (
+        "1-",
+        "2+ 2+",
+        "3- 2+ 3-",
+        "4+ 4+ 4+ 4+",
+        "5- 4+ 3- 4+ 5-",
+        "5+ 5+ 5+ 5+ 5+ 5+",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "8+ 8+ 6+ 8+ 8+ 6+ 8+ 8+",
+        "9- 8+ 9- 8+ 5- 8+ 9- 8+ 9-",
+        "10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+",
+        "11- 10+ 9- 8+ 11- 6+ 11- 8+ 9- 10+ 11-",
+        "12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+",
+        "12- 10- 12- 10- 12- 10- 7- 10- 12- 10- 12- 10- 12-",
+        "14+ 14+ 12+ 14+ 10+ 12+ 14+ 14+ 12+ 10+ 14+ 12+ 14+ 14+",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+",
+        "17- 16+ 15- 16+ 17- 12+ 17- 16+ 9- 16+ 17- 12+ 17- 16+ 15- 16+ 17-",
+    ),
+    (11, 1): (
+        "1+",
+        "2+ 2+",
+        "3- 2+ 3-",
+        "4+ 4+ 4+ 4+",
+        "5+ 4+ 3+ 4+ 5+",
+        "6- 6- 6- 6- 6- 6-",
+        "7+ 6+ 7+ 4+ 7+ 6+ 7+",
+        "8+ 8+ 6+ 8+ 8+ 6+ 8+ 8+",
+        "9+ 8+ 9+ 8+ 5+ 8+ 9+ 8+ 9+",
+        "9- 9- 9- 9- 9- 9- 9- 9- 9- 9-",
+        "11- 10+ 9- 8+ 11- 6+ 11- 8+ 9- 10+ 11-",
+        "12- 12- 12- 12- 12- 12- 12- 12- 12- 12- 12- 12-",
+        "13- 12+ 13- 12+ 13- 12+ 7+ 12+ 13- 12+ 13- 12+ 13-",
+        "14+ 14+ 12+ 14+ 10+ 12+ 14+ 14+ 12+ 10+ 14+ 12+ 14+ 14+",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16- 16-",
+        "17+ 16+ 15+ 16+ 17+ 12+ 17+ 16+ 9+ 16+ 17+ 12+ 17+ 16+ 15+ 16+ 17+",
+    ),
+    (11, 2): (
+        "1-",
+        "2+ 2+",
+        "3- 2+ 3-",
+        "4+ 4+ 4+ 4+",
+        "5- 4+ 3- 4+ 5-",
+        "6+ 6+ 6+ 6+ 6+ 6+",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "8+ 8+ 6+ 8+ 8+ 6+ 8+ 8+",
+        "9- 8+ 9- 8+ 5- 8+ 9- 8+ 9-",
+        "9+ 9+ 9+ 9+ 9+ 9+ 9+ 9+ 9+ 9+",
+        "11- 10+ 9- 8+ 11- 6+ 11- 8+ 9- 10+ 11-",
+        "12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+ 12+",
+        "13- 12+ 13- 12+ 13- 12+ 7- 12+ 13- 12+ 13- 12+ 13-",
+        "14+ 14+ 12+ 14+ 10+ 12+ 14+ 14+ 12+ 10+ 14+ 12+ 14+ 14+",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+",
+        "17- 16+ 15- 16+ 17- 12+ 17- 16+ 9- 16+ 17- 12+ 17- 16+ 15- 16+ 17-",
+    ),
+    (13, 1): (
+        "1-",
+        "2+ 2+",
+        "3+ 2+ 3+",
+        "4- 4- 4- 4-",
+        "5- 4+ 3- 4+ 5-",
+        "6- 6- 6- 6- 6- 6-",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "8+ 8+ 6+ 8+ 8+ 6+ 8+ 8+",
+        "9+ 8+ 9+ 8+ 5- 8+ 9+ 8+ 9+",
+        "10- 10- 10- 10- 10- 10- 10- 10- 10- 10-",
+        "11+ 10+ 9+ 8+ 11+ 6+ 11+ 8+ 9+ 10+ 11+",
+        "11- 11- 11- 11- 11- 11- 11- 11- 11- 11- 11- 11-",
+        "13+ 12+ 13+ 12+ 13+ 12+ 7- 12+ 13+ 12+ 13+ 12+ 13+",
+        "14- 14- 12- 14- 10+ 12- 14- 14- 12- 10+ 14- 12- 14- 14-",
+        "15+ 14+ 15+ 12+ 15+ 14+ 15+ 8+ 15+ 14+ 15+ 12+ 15+ 14+ 15+",
+        "16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+",
+        "17- 16+ 15- 16+ 17- 12+ 17- 16+ 9- 16+ 17- 12+ 17- 16+ 15- 16+ 17-",
+    ),
+    (13, 2): (
+        "1-",
+        "2+ 2+",
+        "3- 2+ 3-",
+        "4+ 4+ 4+ 4+",
+        "5- 4+ 3- 4+ 5-",
+        "6+ 6+ 6+ 6+ 6+ 6+",
+        "7- 6+ 7- 4+ 7- 6+ 7-",
+        "8+ 8+ 6+ 8+ 8+ 6+ 8+ 8+",
+        "9- 8+ 9- 8+ 5- 8+ 9- 8+ 9-",
+        "10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+ 10+",
+        "11- 10+ 9- 8+ 11- 6+ 11- 8+ 9- 10+ 11-",
+        "11+ 11+ 11+ 11+ 11+ 11+ 11+ 11+ 11+ 11+ 11+ 11+",
+        "13- 12+ 13- 12+ 13- 12+ 7- 12+ 13- 12+ 13- 12+ 13-",
+        "14+ 14+ 12+ 14+ 10+ 12+ 14+ 14+ 12+ 10+ 14+ 12+ 14+ 14+",
+        "15- 14+ 15- 12+ 15- 14+ 15- 8+ 15- 14+ 15- 12+ 15- 14+ 15-",
+        "16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+ 16+",
+        "17- 16+ 15- 16+ 17- 12+ 17- 16+ 9- 16+ 17- 12+ 17- 16+ 15- 16+ 17-",
+    ),
+}
+
+
+def test_predict_rank_char_golden():
+    for (p, s), rows in PREDICT_GOLDEN.items():
+        for n, row in enumerate(rows, start=2):
+            got = " ".join(f"{r.rank}{'+' if r.character == 1 else '-'}"
+                           for r in (predict_rank_char(p, s, n, i) for i in range(1, n)))
+            assert got == row, (p, s, n)
+
+
 # ---------------------------------------------------------- special basis
 
 
