@@ -93,81 +93,57 @@ def _print_json(pairs) -> None:
     print(json.dumps(dict(pairs), indent=2))
 
 
-def _curve_spec(args) -> CurveSpec:
-    tower = build_tower(args.p, args.s, args.n)
-    return CurveSpec(tower, args.i, _parse_lambda(args.lam, tower))
-
-
-def _hyper_spec(args) -> HypersurfaceSpec:
-    tower = build_tower(args.p, args.s, args.n)
-    i_list = _int_list(args.i, "--i")
-    a_list = _int_list(args.a, "--a") if args.a else [1] * len(i_list)
-    if len(a_list) != len(i_list):
-        raise _UsageError(f"--a has {len(a_list)} entries but --i has {len(i_list)}")
-    terms = tuple(zip(a_list, i_list))
-    return HypersurfaceSpec(tower, terms, _parse_lambda(args.lam, tower))
-
-
-def _cmd_count_curve(args) -> int:
-    spec = _curve_spec(args)
-    rep = count_curve(spec)
-    _print_json([("schemaVersion", SCHEMA_VERSION),
-                 ("p", args.p), ("s", args.s), ("n", args.n), ("i", args.i),
-                 ("lambda", _lambda_str(spec.lam))] + _report_items(rep))
-    return 0
-
-
-def _cmd_count_hypersurface(args) -> int:
-    spec = _hyper_spec(args)
-    rep = count_hypersurface(spec)
-    _print_json([("schemaVersion", SCHEMA_VERSION),
-                 ("p", args.p), ("s", args.s), ("n", args.n),
-                 ("iList", ",".join(str(i) for _, i in spec.terms)),
-                 ("aList", ",".join(str(a) for a, _ in spec.terms)),
-                 ("lambda", _lambda_str(spec.lam))] + _report_items(rep))
-    return 0
-
-
 def _is_hyper(args) -> bool:
-    return "," in args.i or args.a is not None
+    if args.command == "count-curve":
+        return False
+    return args.command == "count-hypersurface" or "," in args.i or args.a is not None
 
 
-def _cmd_classify(args) -> int:
-    head = [("schemaVersion", SCHEMA_VERSION),
-            ("p", args.p), ("s", args.s), ("n", args.n)]
+def _spec(args) -> tuple:
+    """The spec of count-curve, count-hypersurface, classify or verify, and
+    the JSON keys that lead its output, up to and including "lambda"."""
+    tower = build_tower(args.p, args.s, args.n)
+    head = [("schemaVersion", SCHEMA_VERSION), ("p", args.p), ("s", args.s), ("n", args.n)]
     if _is_hyper(args):
-        spec = _hyper_spec(args)
-        label, bundle = classify_hypersurface_detail(spec)
+        i_list = _int_list(args.i, "--i")
+        a_list = _int_list(args.a, "--a") if args.a else [1] * len(i_list)
+        if len(a_list) != len(i_list):
+            raise _UsageError(f"--a has {len(a_list)} entries but --i has {len(i_list)}")
+        spec = HypersurfaceSpec(tower, tuple(zip(a_list, i_list)), _parse_lambda(args.lam, tower))
         head += [("iList", ",".join(str(i) for _, i in spec.terms)),
                  ("aList", ",".join(str(a) for a, _ in spec.terms))]
     else:
-        tower = build_tower(args.p, args.s, args.n)
         spec = CurveSpec(tower, int(args.i), _parse_lambda(args.lam, tower))
-        label, bundle = classify_curve_detail(spec)
-        head += [("i", int(args.i))]
-    head += [("lambda", _lambda_str(spec.lam)), ("classification", label)]
-    _print_json(head + list(bundle.items()))
+        head += [("i", spec.i)]
+    return spec, head + [("lambda", _lambda_str(spec.lam))]
+
+
+def _count_and_oracle(spec, limit: int) -> tuple:
+    if isinstance(spec, CurveSpec):
+        return count_curve(spec), oracle_curve(spec, limit=limit)
+    return count_hypersurface(spec), oracle_hypersurface(spec, limit=limit)
+
+
+def _cmd_count(args) -> int:
+    spec, head = _spec(args)
+    rep = (count_curve if isinstance(spec, CurveSpec) else count_hypersurface)(spec)
+    _print_json(head + _report_items(rep))
+    return 0
+
+
+def _cmd_classify(args) -> int:
+    spec, head = _spec(args)
+    detail = classify_curve_detail if isinstance(spec, CurveSpec) else classify_hypersurface_detail
+    label, bundle = detail(spec)
+    _print_json(head + [("classification", label)] + list(bundle.items()))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if _is_hyper(args):
-        spec = _hyper_spec(args)
-        rep = count_hypersurface(spec)
-        oracle = oracle_hypersurface(spec, limit=args.limit)
-        head = [("iList", ",".join(str(i) for _, i in spec.terms)),
-                ("aList", ",".join(str(a) for a, _ in spec.terms))]
-    else:
-        tower = build_tower(args.p, args.s, args.n)
-        spec = CurveSpec(tower, int(args.i), _parse_lambda(args.lam, tower))
-        rep = count_curve(spec)
-        oracle = oracle_curve(spec, limit=args.limit)
-        head = [("i", int(args.i))]
+    spec, head = _spec(args)
+    rep, oracle = _count_and_oracle(spec, args.limit)
     match = oracle == rep.closed_form
-    _print_json([("schemaVersion", SCHEMA_VERSION),
-                 ("p", args.p), ("s", args.s), ("n", args.n)] + head +
-                [("lambda", _lambda_str(spec.lam))] + _report_items(rep) +
-                [("oracle", oracle), ("match", match)])
+    _print_json(head + _report_items(rep) + [("oracle", oracle), ("match", match)])
     if not match:
         print(f"mismatch: closed_form={rep.closed_form} oracle={oracle}",
               file=sys.stderr)
@@ -240,17 +216,10 @@ def _cmd_sweep(args) -> int:
         out.writerow(header)
     mismatch = False
     for tower, kind, what, lam in rows:
-        if kind == "curve":
-            spec = CurveSpec(tower, what, lam)
-            rep = count_curve(spec)
-            oracle = oracle_curve(spec, limit=args.limit)
-            i_cell, a_cell = str(what), "1"
-        else:
-            spec = HypersurfaceSpec(tower, what, lam)
-            rep = count_hypersurface(spec)
-            oracle = oracle_hypersurface(spec, limit=args.limit)
-            i_cell = ";".join(str(i) for _, i in what)
-            a_cell = ";".join(str(a) for a, _ in what)
+        spec = (CurveSpec if kind == "curve" else HypersurfaceSpec)(tower, what, lam)
+        rep, oracle = _count_and_oracle(spec, args.limit)
+        i_cell = ";".join(str(i) for _, i in spec.terms)
+        a_cell = ";".join(str(a) for a, _ in spec.terms)
         if oracle != rep.closed_form:
             mismatch = True
         record = [tower.p, tower.s, tower.n, i_cell, a_cell, rep.trace_lambda,
@@ -299,11 +268,11 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("count-curve", help="closed-form curve count")
     _add_spec_args(sub, multi_i=False)
-    sub.set_defaults(func=_cmd_count_curve)
+    sub.set_defaults(func=_cmd_count)
 
     sub = subs.add_parser("count-hypersurface", help="closed-form hypersurface count")
     _add_spec_args(sub, multi_i=True)
-    sub.set_defaults(func=_cmd_count_hypersurface)
+    sub.set_defaults(func=_cmd_count)
 
     sub = subs.add_parser("classify", help="Weil-bound attainment classification")
     _add_spec_args(sub, multi_i=True)

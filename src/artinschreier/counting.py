@@ -9,17 +9,21 @@ with everything exact: counts and bounds are arbitrary-precision integers,
 and the fourth-root-of-unity bookkeeping must land in {1, -1} (a non-real
 unit raises, it is never truncated).
 
-Curve branch names record the two selectors: "coprime"/"multiple" says
-whether l = n/gcd(i, n) is coprime to p or a multiple of it, and "odd"/"even"
-is the parity of n + d (coprime) or n (multiple).  The n = 2i case flows
-through the coprime branches (l = 2 and p is odd).  Hypersurface branches
-are "even"/"odd" after the parity of nr - D1.
+The curve is the one-term hypersurface with a = 1.  Both counts, and the
+classification, come from the rank and discriminant character of the trace
+forms x -> Tr(a_j x (x^(q^i_j) - x)) (Lidl-Niederreiter, Finite Fields,
+Thms 6.26-6.27), which term_invariants derives from d = gcd(i, n) and
+l = n/d alone.  Hypersurface branches are "even"/"odd" after the parity of
+the rank sum R.  A curve branch name puts the selector in front: "coprime"
+or "multiple" says whether l is coprime to p or a multiple of it, so the
+names are coprime-odd, coprime-even, multiple-odd and multiple-even.  The
+n = 2i case flows through the coprime branches (l = 2 and p is odd).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .fields import FieldTower, Record, tau_power
 
@@ -35,6 +39,11 @@ class CurveSpec(Record):
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "lam", lam)
+
+    @property
+    def terms(self) -> tuple:
+        """The curve as the one-term hypersurface: ((1, i),)."""
+        return ((1, self.i),)
 
 
 class HypersurfaceSpec(Record):
@@ -113,18 +122,53 @@ def eps(alpha: int, q: int) -> int:
     return q - 1 if alpha == 0 else -1
 
 
+def term_invariants(t: FieldTower, n: int, a: int, i: int) -> Tuple[int, int, int, int, int]:
+    """(d, l, rank, sign, chi_arg) of the trace form x -> Tr(a x (x^(q^i) - x))
+    on F_{q^n}, from d = gcd(i, n) and l = n/d.  Only the F_q arithmetic of
+    t is used, so any tower over F_q will do.
+
+    The form has rank n - d when l is coprime to p and n - 2d when p | l, and
+    its reduced determinant delta has
+        chi(delta) = (-1)^(n-d) chi((-2)^(n-d) l^d)        (l coprime to p),
+        chi(delta) = (-1)^(n+1) chi((-1)^(n-d) 2^(n-2d))   (p | l).
+    sign is the +-1 prefactor, and chi(a^rank delta) = sign chi(chi_arg).
+    Only chi(chi_arg) is ever used, so chi_arg is kept up to squares: every
+    exponent is reduced mod 2.
+
+    The n = 2i case (l = 2, coprime to odd p) flows through the coprime case;
+    its reduced determinant (-2)^i equals the general (-1)^(n-d) l^d.  In the
+    p | l case the prefactor is (-1)^(n+1), not (-1)^(n-d): the two agree
+    exactly when d is odd, and exhaustive rank_and_char tabulations over p in
+    {3,5,7,11,13}, s in {1,2}, n <= 18 single out (-1)^(n+1) as the value
+    that matches every even-d case as well.
+    """
+    d = math.gcd(i, n)
+    l = n // d
+    if l % t.p:
+        rank = n - d
+        sign = -1 if rank & 1 else 1
+        arg = (-2 if rank & 1 else 1) * (l if d & 1 else 1)
+    else:
+        rank = n - 2 * d
+        sign = 1 if n & 1 else -1
+        arg = (-1 if (n - d) & 1 else 1) * (2 if n & 1 else 1)
+    arg = t.base_from_int(arg)
+    if rank & 1 and a != 1:
+        arg = t.bmul(arg, a)
+    return d, l, rank, sign, arg
+
+
 def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
     t = spec.tower
-    n, p = t.n, t.p
+    n = t.n
     X, Y = [], []
     D1 = D2 = 0
     L1 = A1 = A2 = 1
     I = 0
     for j, (a, i) in enumerate(spec.terms):
-        d = math.gcd(i, n)
-        l = n // d
+        d, l = term_invariants(t, n, a, i)[:2]
         I += i
-        if l % p != 0:
+        if l % t.p:
             X.append(j)
             D1 += d
             L1 = t.bmul(L1, t.bpow(t.base_from_int(l), d))
@@ -141,193 +185,161 @@ def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     """q^rn +/- (q-1) q^((nr+2I)/2); when the deviation is irrational (odd
     nr with p^s not a square, so s(nr+2I) odd) the floor is stored and the
     bounds are flagged half_integral (the floor is valid for integer counts)."""
-    t = spec.tower
-    if isinstance(spec, CurveSpec):
-        r, I = 1, spec.i
-    else:
-        r, I = spec.r, sum(i for _, i in spec.terms)
-    q, n = t.q, t.n
-    exponent = n * r + 2 * I
-    center = q ** (n * r)
-    dev = math.isqrt((q - 1) ** 2 * q ** exponent)
-    half = (t.s * exponent) % 2 == 1
-    if (dev * dev == (q - 1) ** 2 * q ** exponent) == half:
+    lower, upper, half = _weil_bounds(spec.tower, len(spec.terms),
+                                      sum(i for _, i in spec.terms))
+    return WeilBounds(lower=lower, upper=upper, half_integral=half)
+
+
+def _weil_bounds(t: FieldTower, r: int, I: int) -> Tuple[int, int, bool]:
+    q, nr = t.q, t.n * r
+    center = q ** nr
+    square = (q - 1) ** 2 * q ** (nr + 2 * I)
+    dev = math.isqrt(square)
+    half = (t.s * nr) % 2 == 1
+    if (dev * dev == square) == half:
         raise RuntimeError("half-integral flag disagrees with the Weil deviation")
-    return WeilBounds(lower=center - dev, upper=center + dev, half_integral=half)
+    return center - dev, center + dev, half
 
 
-def _classify_by_bounds(count: int, bounds: WeilBounds) -> str:
-    if count == bounds.upper:
-        return "Maximal"
-    if count == bounds.lower:
-        return "Minimal"
-    return "Neither"
+def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
+    """count_hypersurface for either kind of spec; classify is the
+    module-level classifier of that kind, which must name the same end."""
+    t = spec.tower
+    q, n, p, s = t.q, t.n, t.p, t.s
+    terms = spec.terms
+    trl = t.trace(spec.lam)
+    nr = n * len(terms)
+    R = I = iexp = 0
+    chi_arg = 1
+    for a, i in terms:
+        _, l, rank, sign, arg = term_invariants(t, n, a, i)
+        R += rank
+        I += i
+        if sign < 0:
+            iexp += 2
+        chi_arg = t.bmul(chi_arg, arg)
+    iexp += 2 * (s + 1) * R + tau_power(p, s * R)
+    if R % 2 and trl == 0:
+        count = q ** nr
+    else:
+        if R % 2:
+            iexp += 2 * (s + 1) + tau_power(p, s)
+            chi_arg = t.bmul(chi_arg, t.bneg(trl))
+            factor, power = 1, nr - (R - 1) // 2
+        else:
+            factor, power = eps(trl, q), nr - R // 2
+        if iexp % 2:
+            raise ArithmeticError("non-real unit; bookkeeping bug")
+        if t.quadratic_character(chi_arg) == -1:
+            iexp += 2
+        count = q ** nr + (1 if iexp % 4 == 0 else -1) * factor * q ** power
+    branch = "odd" if R % 2 else "even"
+    if isinstance(spec, CurveSpec):
+        branch = ("multiple-" if l % p == 0 else "coprime-") + branch
+    lower, upper, half = _weil_bounds(t, len(terms), I)
+    classification = ("Maximal" if count == upper else
+                      "Minimal" if count == lower else "Neither")
+    if classification != classify(spec):
+        raise RuntimeError("condition bundle disagrees with bounds")
+    return CountReport(closed_form=count, trace_lambda=trl, bound_lower=lower,
+                       bound_upper=upper, classification=classification,
+                       branch=branch, half_integral_bound=half)
 
 
 def count_curve(spec: CurveSpec) -> CountReport:
     """Exact N for the curve y^q - y = x(x^(q^i) - x) - lambda over F_{q^n}.
 
-    Branches on d = gcd(i, n), l = n/d:
+    This is the one-term hypersurface count with a = 1.  With d = gcd(i, n)
+    and l = n/d it comes out as
       l coprime to p, n+d odd:   N = q^n - chi(2 (-1)^((n-d+1)/2) Tr(lam) l^d)
                                            q^((n+d+1)/2)
       l coprime to p, n+d even:  N = q^n + eps(Tr(lam)) chi((-1)^((n-d)/2) l^d)
                                            q^((n+d)/2)
       p | l, n odd:   N = q^n + chi(2 (-1)^((n+1)/2) Tr(lam)) q^((n+2d+1)/2)
       p | l, n even:  N = q^n - eps(Tr(lam)) chi((-1)^(n/2)) q^((n+2d)/2)
-    The multiple-branch signs carry no (-1)^d factor: such a factor is vacuous
-    for n odd (d | n forces d odd) and wrong for n even, where exhaustive
-    enumeration fixes the sign at -1 for every d (e.g. i = 2, n = 6, p = 3
+    with no (-1)^d factor in the multiple branches (e.g. i = 2, n = 6, p = 3
     attains the upper bound 1215, not the lower).
     """
-    t = spec.tower
-    q, n, p, i = t.q, t.n, t.p, spec.i
-    d = math.gcd(i, n)
-    l = n // d
-    trl = t.trace(spec.lam)
-    two = t.base_from_int(2)
-    if l % p != 0:
-        ld = t.bpow(t.base_from_int(l), d)
-        if (n + d) % 2 == 1:
-            branch = "coprime-odd"
-            arg = t.bmul(t.bmul(two, t.base_from_int((-1) ** ((n - d + 1) // 2))),
-                         t.bmul(trl, ld))
-            count = q ** n - t.quadratic_character(arg) * q ** ((n + d + 1) // 2)
-        else:
-            branch = "coprime-even"
-            arg = t.bmul(t.base_from_int((-1) ** ((n - d) // 2)), ld)
-            count = q ** n + eps(trl, q) * t.quadratic_character(arg) * q ** ((n + d) // 2)
-    else:
-        if n % 2 == 1:
-            branch = "multiple-odd"
-            arg = t.bmul(t.bmul(two, t.base_from_int((-1) ** ((n + 1) // 2))), trl)
-            count = q ** n + t.quadratic_character(arg) * q ** ((n + 2 * d + 1) // 2)
-        else:
-            branch = "multiple-even"
-            arg = t.base_from_int((-1) ** (n // 2))
-            count = q ** n - eps(trl, q) * t.quadratic_character(arg) * q ** ((n + 2 * d) // 2)
-    bounds = weil_bounds(spec)
-    classification = _classify_by_bounds(count, bounds)
-    if classification != classify_curve(spec):
-        raise RuntimeError("condition bundle disagrees with bounds")
-    return CountReport(closed_form=count, trace_lambda=trl,
-                       bound_lower=bounds.lower, bound_upper=bounds.upper,
-                       classification=classification, branch=branch,
-                       half_integral_bound=bounds.half_integral)
-
-
-def _term_units(t: FieldTower, terms: Sequence[Tuple[int, int]]) -> Tuple[int, int, int]:
-    """Accumulate (sum of ranks, i-exponent mod 4, chi argument in F_q*) over
-    the per-term character sums sum_x psi(Tr(c a_j x (x^(q^i_j) - x))).
-
-    Each term is a quadratic form of rank l_j = n - d_j (l coprime to p) or
-    n - 2 d_j (p | l) and contributes
-        (-1)^(l_j (s+1)) tau^(s l_j) chi((c a_j)^l_j delta_j) q^(n - l_j / 2),
-    where chi(delta_j) = (-1)^(n-d_j) chi((-2)^(n-d_j) l^(d_j)) in the coprime
-    case and (-1)^(n+1) chi((-1)^(n-d_j) 2^(n-2d_j)) in the multiple case.
-    Fourth roots of unity are tracked as powers of i; sign prefactors add 2.
-    The chi(c)^(l_j) factors are left to the caller via the rank-sum parity.
-    """
-    n, p, s = t.n, t.p, t.s
-    sum_rank = 0
-    iexp = 0
-    chi_arg = t.base_from_int(1)
-    for a, i in terms:
-        d = math.gcd(i, n)
-        l = n // d
-        if l % p != 0:
-            rank = n - d
-            iexp += 2 * (n - d)
-            arg = t.bmul(t.bpow(t.base_from_int(-2), n - d),
-                         t.bpow(t.base_from_int(l), d))
-        else:
-            rank = n - 2 * d
-            iexp += 2 * (n + 1)
-            arg = t.bmul(t.base_from_int((-1) ** (n - d)),
-                         t.bpow(t.base_from_int(2), n - 2 * d))
-        sum_rank += rank
-        iexp += 2 * rank * (s + 1) + tau_power(p, rank * s)
-        chi_arg = t.bmul(chi_arg, t.bmul(arg, t.bpow(a, rank)))
-    return sum_rank, iexp % 4, chi_arg
+    return _count(spec, classify_curve)
 
 
 def count_hypersurface(spec: HypersurfaceSpec) -> CountReport:
     """Exact N for y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda.
 
-    Assembled term by term from the per-form character sums (_term_units)
-    rather than from a pre-bundled sign formula.  With R = sum of the term
-    ranks and U the accumulated unit:
+    Assembled term by term from the per-form character sums: term j gives
+        (-1)^(rank_j (s+1)) tau^(s rank_j) sign_j chi(c^rank_j chi_arg_j) q^(n - rank_j/2)
+    for c in F_q*, with rank_j, sign_j and chi_arg_j from term_invariants.
+    With R = sum of the term ranks and U the accumulated unit:
       R even: N = q^rn + eps(Tr(lam)) U q^(rn - R/2)
       R odd:  N = q^rn                            if Tr(lam) = 0,
               N = q^rn + U' q^(rn - (R-1)/2)      otherwise,
     where U' folds in the Gauss sum (-1)^(s+1) tau^s sqrt(q) and chi(-Tr(lam)).
     The unit is tracked as a power of i and must come out real.
     """
+    return _count(spec, classify_hypersurface)
+
+
+_LABELS = {1: "Maximal", -1: "Minimal", None: "Neither"}
+
+
+def _attainment(spec: Union[CurveSpec, HypersurfaceSpec], bundle: bool) -> tuple:
+    """The condition pass of both classifiers: (Tr(lambda) = 0, nr even, D1,
+    D2, i_j = d_j for every j in Y, end); end is None, or (sR mod 4,
+    tauFactor, chiSign, sign) when a bound is attained.  Without bundle only
+    end is wanted, so a nonzero trace or an odd nr returns before the terms.
+    chiSign writes its prefactor (-1)^((n+1)|Y|) out instead of taking the
+    term signs, so the count's cross-check meets a second statement of it.
+    """
     t = spec.tower
-    q, n, p, s, r = t.q, t.n, t.p, t.s, spec.r
-    trl = t.trace(spec.lam)
-    nr = n * r
-    center = q ** nr
-    sum_rank, iexp, chi_arg = _term_units(t, spec.terms)
-    if sum_rank % 2 == 0:
-        branch = "even"
-        if t.quadratic_character(chi_arg) == -1:
-            iexp = (iexp + 2) % 4
-        if iexp % 2:
-            raise ArithmeticError("non-real unit in even branch; bookkeeping bug")
-        count = center + eps(trl, q) * (1 if iexp == 0 else -1) * q ** (nr - sum_rank // 2)
-    else:
-        branch = "odd"
-        if trl == 0:
-            count = center
+    n, p, s = t.n, t.p, t.s
+    terms = spec.terms
+    trace_zero = t.trace(spec.lam) == 0
+    nr = n * len(terms)
+    if not (bundle or trace_zero and nr % 2 == 0):
+        return trace_zero, nr % 2 == 0, None, None, None, None
+    D1 = D2 = R = 0
+    exact = True
+    chi_arg = 1
+    for a, i in terms:
+        d, l, rank, _, arg = term_invariants(t, n, a, i)
+        R += rank
+        chi_arg = t.bmul(chi_arg, arg)
+        if l % p:
+            D1 += d
         else:
-            iexp = (iexp + 2 * (s + 1) + tau_power(p, s)) % 4
-            chi_arg = t.bmul(chi_arg, t.bsub(0, trl))
-            if t.quadratic_character(chi_arg) == -1:
-                iexp = (iexp + 2) % 4
-            if iexp % 2:
-                raise ArithmeticError("non-real unit in odd branch; bookkeeping bug")
-            count = center + (1 if iexp == 0 else -1) * q ** (nr - (sum_rank - 1) // 2)
-    bounds = weil_bounds(spec)
-    classification = _classify_by_bounds(count, bounds)
-    if classification != classify_hypersurface(spec):
-        raise RuntimeError("condition bundle disagrees with bounds")
-    return CountReport(closed_form=count, trace_lambda=trl,
-                       bound_lower=bounds.lower, bound_upper=bounds.upper,
-                       classification=classification, branch=branch,
-                       half_integral_bound=bounds.half_integral)
+            D2 += d
+            exact = exact and i == d
+    if not trace_zero or D1 or nr % 2 or not exact:
+        return trace_zero, nr % 2 == 0, D1, D2, exact, None
+    if R != nr - 2 * D2 or R % 2:
+        raise RuntimeError("rank sum is not the even nr - 2 D2")
+    # D1 = 0, so every term lies in Y
+    tau_factor = 1 if (2 * (s + 1) * R + tau_power(p, s * R)) % 4 == 0 else -1
+    chi_sign = (-1) ** ((n + 1) * len(terms)) * t.quadratic_character(chi_arg)
+    return True, True, 0, D2, True, ((s * R) % 4, tau_factor, chi_sign, tau_factor * chi_sign)
+
+
+def _label(spec: Union[CurveSpec, HypersurfaceSpec]) -> str:
+    end = _attainment(spec, False)[-1]
+    return _LABELS[end and end[3]]
 
 
 def classify_curve_detail(spec: CurveSpec) -> Tuple[str, dict]:
     """Classification with the condition bundle that decided it.
 
     The curve attains a Weil bound iff Tr(lambda) = 0, n is even, i | n, and
-    p | (n/i); the attained end is given by sign = -chi((-1)^(n/2)),
-    Maximal for +1 and Minimal for -1.  The sign does not depend on the
-    parity of i (the multiple-even count always deviates by
-    -eps chi((-1)^(n/2)) q^((n+2d)/2)).
+    p | (n/i); the attained end is the hypersurface sign of the one term
+    (1, i), which equals -chi((-1)^(n/2)): Maximal for +1 and Minimal for -1.
     """
-    t = spec.tower
-    n, p, i = t.n, t.p, spec.i
-    trl = t.trace(spec.lam)
-    conditions = {
-        "traceLambdaZero": trl == 0,
-        "nEven": n % 2 == 0,
-        "iDividesN": n % i == 0,
-        "pDividesNOverI": n % i == 0 and (n // i) % p == 0,
-    }
-    sign = None
-    if all(conditions.values()):
-        sign = -t.quadratic_character(t.base_from_int((-1) ** (n // 2)))
-    conditions["sign"] = sign
-    if sign == 1:
-        return "Maximal", conditions
-    if sign == -1:
-        return "Minimal", conditions
-    return "Neither", conditions
+    trace_zero, n_even, D1, D2, _, end = _attainment(spec, True)
+    i, sign = spec.i, end and end[3]
+    return _LABELS[sign], {"traceLambdaZero": trace_zero, "nEven": n_even,
+                           "iDividesN": i == D1 + D2, "pDividesNOverI": i == D2,
+                           "sign": sign}
 
 
 def classify_curve(spec: CurveSpec) -> str:
-    return classify_curve_detail(spec)[0]
+    return _label(spec)
 
 
 def classify_hypersurface_detail(spec: HypersurfaceSpec) -> Tuple[str, dict]:
@@ -343,45 +355,15 @@ def classify_hypersurface_detail(spec: HypersurfaceSpec) -> Tuple[str, dict]:
         chiSign = (-1)^((n+1)|Y|) chi(prod_j (-1)^(n-d_j) 2^(n-2d_j) a_j^(n-2d_j)),
     Maximal for +1 and Minimal for -1.
     """
-    t = spec.tower
-    n, p, s, r = t.n, t.p, t.s, spec.r
-    inv = hypersurface_invariants(spec)
-    trl = t.trace(spec.lam)
-    nr = n * r
-    conditions = {
-        "traceLambdaZero": trl == 0,
-        "D1Zero": inv.D1 == 0,
-        "nrEven": nr % 2 == 0,
-        "YExponentsEqualGcd": all(spec.terms[j][1] == math.gcd(spec.terms[j][1], n)
-                                  for j in inv.Y),
-        "D2": inv.D2,
-    }
-    sign = None
-    tau_factor = None
-    chi_sign = None
-    prefix = (conditions["traceLambdaZero"] and conditions["D1Zero"]
-              and conditions["nrEven"] and conditions["YExponentsEqualGcd"])
-    if prefix:
-        sum_rank, iexp, chi_arg = _term_units(t, spec.terms)
-        if sum_rank != nr - 2 * inv.D2 or sum_rank % 2:
-            raise RuntimeError("rank sum is not the even nr - 2 D2")
-        mod4 = (s * sum_rank) % 4
-        tau_factor = 1 if (2 * (s + 1) * sum_rank + tau_power(p, s * sum_rank)) % 4 == 0 else -1
-        chi_sign = ((-1) ** ((n + 1) * len(inv.Y))) * t.quadratic_character(chi_arg)
-        sign = tau_factor * chi_sign
-        conditions["tauExponentMod4"] = mod4
-        folded = (iexp + (0 if t.quadratic_character(chi_arg) == 1 else 2)) % 4
-        if folded % 2 or sign != (1 if folded == 0 else -1):
-            raise RuntimeError("attained end disagrees with the unit of the count")
-    conditions["tauFactor"] = tau_factor
-    conditions["chiSign"] = chi_sign
-    conditions["sign"] = sign
-    if sign == 1:
-        return "Maximal", conditions
-    if sign == -1:
-        return "Minimal", conditions
-    return "Neither", conditions
+    trace_zero, nr_even, D1, D2, exact, end = _attainment(spec, True)
+    conditions = {"traceLambdaZero": trace_zero, "D1Zero": D1 == 0, "nrEven": nr_even,
+                  "YExponentsEqualGcd": exact, "D2": D2}
+    if end:
+        conditions["tauExponentMod4"] = end[0]
+    tau_factor, chi_sign, sign = end[1:] if end else (None, None, None)
+    conditions.update(tauFactor=tau_factor, chiSign=chi_sign, sign=sign)
+    return _LABELS[sign], conditions
 
 
 def classify_hypersurface(spec: HypersurfaceSpec) -> str:
-    return classify_hypersurface_detail(spec)[0]
+    return _label(spec)

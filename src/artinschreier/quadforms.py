@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .counting import term_invariants
 from .fields import FieldTower, FourthRootUnit, Record, build_tower, tau_power
 
 
@@ -93,12 +94,16 @@ def det_Mn_integer(m: int) -> int:
     return cur
 
 
-def fq_matrix_rank(tower: FieldTower, rows: Sequence) -> int:
-    """Rank over F_q of a matrix given as a sequence of row sequences."""
+def _row_reduce(tower: FieldTower, rows: Sequence) -> tuple:
+    """Reduced row echelon form over F_q: (rows, pivots), where pivots[k] is
+    the column of the leading 1 of row k and rows past the rank are zero."""
     mat = [list(r) for r in rows]
-    rank = 0
+    pivots = []
     cols = len(mat[0]) if mat else 0
     for c in range(cols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         pivot = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
         if pivot is None:
             continue
@@ -109,10 +114,13 @@ def fq_matrix_rank(tower: FieldTower, rows: Sequence) -> int:
             if r != rank and mat[r][c] != 0:
                 f = mat[r][c]
                 mat[r] = [tower.bsub(v, tower.bmul(f, w)) for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivots.append(c)
+    return mat, pivots
+
+
+def fq_matrix_rank(tower: FieldTower, rows: Sequence) -> int:
+    """Rank over F_q of a matrix given as a sequence of row sequences."""
+    return len(_row_reduce(tower, rows)[1])
 
 
 def build_gram(tower: FieldTower, basis: Sequence, i: int, a: int) -> list:
@@ -209,34 +217,16 @@ def rank_and_char(tower: FieldTower, H: Sequence) -> tuple:
 
 def predict_rank_char(p: int, s: int, n: int, i: int) -> RankCharPrediction:
     """Predicted rank and chi(det of a reduced matrix) for the Gram matrix of
-    Tr(x (x^(q^i) - x)), from d = gcd(i, n) and l = n/d alone.
-
-    The n = 2i case (l = 2, coprime to odd p) flows through the coprime
-    branch; its reduced determinant (-2)^i equals the general (-1)^(n-d) l^d.
-
-    In the p | l branch the sign prefactor is (-1)^(n+1), not (-1)^(n-d):
-    the two agree exactly when d is odd, and exhaustive rank_and_char
-    tabulations over p in {3,5,7,11,13}, s in {1,2}, n <= 18 single out
-    (-1)^(n+1) as the value that matches every even-d case as well.
+    Tr(x (x^(q^i) - x)), from d = gcd(i, n) and l = n/d alone: the per-term
+    invariants of counting.term_invariants with a = 1, which states both
+    cases.  Checked against rank_and_char over p in {3,5,7,11,13}, s in
+    {1,2}, n <= 18.
     """
     if not 0 < i < n:
         raise ValueError(f"need 0 < i < n, got i={i}, n={n}")
-    d = math.gcd(i, n)
-    l = n // d
     tower = build_tower(p, s, 1)
-    if l % p != 0:
-        rank = n - d
-        sign = 1 if (n - d) % 2 == 0 else -1
-        arg = tower.bmul(tower.bpow(tower.base_from_int(-2), n - d),
-                         tower.bpow(tower.base_from_int(l), d))
-        char = sign * tower.quadratic_character(arg)
-    else:
-        rank = n - 2 * d
-        sign = 1 if (n + 1) % 2 == 0 else -1
-        arg = tower.bmul(tower.base_from_int((-1) ** (n - d)),
-                         tower.bpow(tower.base_from_int(2), n - 2 * d))
-        char = sign * tower.quadratic_character(arg)
-    return RankCharPrediction(rank=rank, character=char)
+    _, _, rank, sign, arg = term_invariants(tower, n, 1, i)
+    return RankCharPrediction(rank=rank, character=sign * tower.quadratic_character(arg))
 
 
 def find_special_basis(tower: FieldTower) -> list:
@@ -257,9 +247,17 @@ def find_special_basis(tower: FieldTower) -> list:
         img = tower.xsub(tower.xadd(tower.frobenius(mono, 1), tower.frobenius(mono, n - 1)),
                          tower.xscale(two, mono))
         cols.append(img)
-    # kernel of the n x n matrix whose k-th column is cols[k]
-    mat = [[cols[k][r] for k in range(n)] for r in range(n)]
-    kernel = _fq_kernel(tower, mat)
+    # kernel of the n x n matrix whose k-th column is cols[k]: one vector per
+    # free column fc, with 1 at fc and minus column fc of the reduced rows at
+    # the pivot columns
+    mat, pivots = _row_reduce(tower, [[cols[k][r] for k in range(n)] for r in range(n)])
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for r, c in enumerate(pivots):
+            v[c] = tower.bneg(mat[r][fc])
+        kernel.append(v)
     beta = next((tuple(v) for v in kernel if any(c != 0 for c in v[1:])), None)
     if beta is None:
         raise RuntimeError("kernel contained no element outside F_q")
@@ -272,36 +270,6 @@ def find_special_basis(tower: FieldTower) -> list:
             break
     fillers = basis[2:]
     return fillers + [beta, tower.one]
-
-
-def _fq_kernel(tower: FieldTower, mat: list) -> list:
-    """Basis of the null space of an n x n matrix over F_q (rows of ints)."""
-    n = len(mat)
-    m = [list(row) for row in mat]
-    pivots = {}
-    rank = 0
-    for c in range(n):
-        pivot = next((r for r in range(rank, n) if m[r][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = tower.binv(m[rank][c])
-        m[rank] = [tower.bmul(inv, v) for v in m[rank]]
-        for r in range(n):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [tower.bsub(v, tower.bmul(f, w)) for v, w in zip(m[r], m[rank])]
-        pivots[c] = rank
-        rank += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for c, r in pivots.items():
-            v[c] = tower.bneg(m[r][fc])
-        basis.append(v)
-    return basis
 
 
 def count_qf_solutions(tower: FieldTower, n: int, v: int, delta_char: int, alpha: int) -> int:

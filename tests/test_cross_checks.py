@@ -54,3 +54,33 @@ def test_sources_hold_no_assert_and_no_debug_guard():
         asserts = [node.lineno for node in ast.walk(ast.parse(text))
                    if isinstance(node, ast.Assert)]
         assert asserts == [], (path, asserts)
+
+
+FLIPPED_TERM_SIGN_RUN = """
+import sys
+from artinschreier import counting
+from artinschreier.fields import build_tower
+print(sys.flags.optimize)
+shared = counting.term_invariants
+def flipped(t, n, a, i):
+    d, l, rank, sign, chi_arg = shared(t, n, a, i)
+    return d, l, rank, -sign, chi_arg
+counting.term_invariants = flipped
+t = build_tower(3, 1, 6)
+try:
+    counting.count_curve(counting.CurveSpec(t, 1, t.zero))
+except RuntimeError as exc:
+    print(exc)
+else:
+    print("no error")
+"""
+
+
+def test_flipped_term_sign_is_caught_under_O():
+    # the count and the classifiers share term_invariants, but the classifier
+    # states the attained end's sign prefactor itself: a wrong sign in the
+    # shared function moves the q = 3, n = 6, i = 1 count (891, Maximal) to
+    # the other bound, and the cross-check must see it
+    proc = _run_optimized(FLIPPED_TERM_SIGN_RUN)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "condition bundle disagrees with bounds"]
