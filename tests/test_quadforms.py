@@ -244,8 +244,8 @@ def test_predict_agrees_with_gram_small():
 
 
 # (rank, character) of predict_rank_char for i = 1..n-1, one string per n = 2..18,
-# over the range its docstring claims; recorded from the inline-branch
-# implementation so that moving the per-term derivation cannot change a value.
+# over the range its docstring claims; pinned so that a change to the per-term
+# derivation it shares with the counts cannot move any of them.
 PREDICT_GOLDEN = {
     (3, 1): (
         "1+",
