@@ -183,6 +183,40 @@ def test_oracle_direct_refuses_oversize():
         oracle_direct(CurveSpec(t, 1, t.zero), limit=10 ** 5)
 
 
+def _reference_curve_pairs(t, i, lam):
+    """#{(x, y) : y^q - y = x(x^(q^i) - x) - lambda}, one pair at a time."""
+    count = 0
+    for x in t.elements():
+        rhs = t.xsub(t.xmul(x, t.xsub(t.frobenius(x, i), x)), lam)
+        for y in t.elements():
+            if t.xsub(t.xpow(y, t.q), y) == rhs:
+                count += 1
+    return count
+
+
+def test_oracle_direct_matches_pair_loop():
+    rng = random.Random(109)
+    for p, s, n in [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2), (5, 1, 2)]:
+        t = build_tower(p, s, n)
+        for i in range(1, n):
+            for lam in (t.zero, t.random_element(rng)):
+                assert oracle_direct(CurveSpec(t, i, lam)) == \
+                    _reference_curve_pairs(t, i, lam), (p, s, n, i, lam)
+
+
+def test_oracle_direct_equals_one_term_hypersurface_direct():
+    # both admit the curve when q^(2n) <= limit
+    rng = random.Random(113)
+    for p, s, n in [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 2, 2),
+                    (5, 1, 2), (5, 1, 3), (7, 1, 2)]:
+        t = build_tower(p, s, n)
+        for i in range(1, n):
+            for lam in (t.zero, t.random_element(rng)):
+                assert oracle_direct(CurveSpec(t, i, lam)) == \
+                    oracle_hypersurface_direct(HypersurfaceSpec(t, ((1, i),), lam)), \
+                    (p, s, n, i, lam)
+
+
 # ----------------------------------------------------- hypersurface oracle
 
 
@@ -222,6 +256,33 @@ def test_oracle_hypersurface_convolution_vs_direct():
                                     t.random_element(rng))
             assert oracle_hypersurface(spec) == oracle_hypersurface_direct(spec), \
                 (p, s, n, r, spec.terms)
+
+
+def _reference_hypersurface_tuples(spec):
+    """The per-tuple scan: every term is evaluated again for each tuple."""
+    t = spec.tower
+    fibers = Counter(t.xsub(t.xpow(y, t.q), y) for y in t.elements())
+    count = 0
+    neg_lam = t.xneg(spec.lam)
+    for xs in product(list(t.elements()), repeat=spec.r):
+        rhs = neg_lam
+        for (a, i), x in zip(spec.terms, xs):
+            term = t.xmul(x, t.xsub(t.frobenius(x, i), x))
+            rhs = t.xadd(rhs, t.xscale(a, term))
+        count += fibers.get(rhs, 0)
+    return count
+
+
+def test_oracle_hypersurface_direct_matches_per_tuple_reference():
+    rng = random.Random(127)
+    cases = [(3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2),
+             (3, 2, 2, 2), (5, 1, 2, 3)]
+    for p, s, n, r in cases:
+        t = build_tower(p, s, n)
+        for lam in (t.zero, t.random_element(rng)):
+            spec = HypersurfaceSpec(t, random_terms(t, rng, r), lam)
+            assert oracle_hypersurface_direct(spec) == \
+                _reference_hypersurface_tuples(spec), (p, s, n, spec.terms, lam)
 
 
 # ------------------------------------------------------------- gauss sums
