@@ -19,6 +19,7 @@ lambda policies are seeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -89,8 +90,20 @@ def _report_items(rep: CountReport) -> list:
             ("halfIntegralBound", rep.half_integral_bound)]
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    # a valid count may exceed the int-to-str digit limit; parsing keeps it
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _print_json(pairs) -> None:
-    print(json.dumps(dict(pairs), indent=2))
+    with _no_digit_limit():
+        print(json.dumps(dict(pairs), indent=2))
 
 
 def _is_hyper(args) -> bool:
@@ -225,11 +238,12 @@ def _cmd_sweep(args) -> int:
         record = [tower.p, tower.s, tower.n, i_cell, a_cell, rep.trace_lambda,
                   rep.closed_form, oracle, rep.bound_lower, rep.bound_upper,
                   rep.classification]
-        if jsonl:
-            line = dict([("schemaVersion", SCHEMA_VERSION)] + list(zip(header, record)))
-            print(json.dumps(line))
-        else:
-            out.writerow(record)
+        with _no_digit_limit():
+            if jsonl:
+                line = dict([("schemaVersion", SCHEMA_VERSION)] + list(zip(header, record)))
+                print(json.dumps(line))
+            else:
+                out.writerow(record)
     return 2 if mismatch else 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+from operator import mul
 from typing import Iterator, Sequence
 
 # A fourth root of unity i^e is represented by its exponent e in {0,1,2,3}.
@@ -553,6 +554,8 @@ class FieldTower:
 
     def trace(self, x: ExtElement) -> int:
         """Tr(x) = x + x^q + ... + x^(q^(n-1)), as a base element."""
+        if self.s == 1:
+            return sum(map(mul, x, self._tr_mono)) % self.p
         acc = 0
         for c, t in zip(x, self._tr_mono):
             if c and t:

@@ -1,9 +1,9 @@
 """Independent ground truth: exact fiber counts and numeric character sums.
 
 Nothing here consults the closed formulas.  Curve and hypersurface counts come
-from counting fibers of the trace form exactly (plus, for the direct
-variants, literal scans over (x, y) pairs that do not even use the fiber
-argument), and the Gauss/character sums are summed in floating point.
+from exact fiber counts of the trace form or, in the direct variants, from one
+literal scan that reads no trace or fiber argument (_direct_count); the
+Gauss/character sums are summed in floating point.
 
 The trace-form histogram works on the F_p coordinates X of x: each base-p
 digit of Tr(a x (x^(q^i) - x)) is Q_c(X) = X G_c X^T mod p for an integer
@@ -40,8 +40,9 @@ ValueHistogram = Dict[int, int]
 
 _CHUNK = 1 << 18
 
-# computed histograms keyed by (p, s, n, i, a); towers are cached singletons
+# histograms by (p, s, n, i, a), y^q - y counts by (p, s, n); towers are cached singletons
 _HIST_CACHE: dict = {}
+_IMAGE_CACHE: dict = {}
 
 
 def _check_limit(requested: int, limit: int) -> None:
@@ -226,18 +227,29 @@ def oracle_curve(spec: CurveSpec, limit: int = DEFAULT_LIMIT) -> int:
 
 
 def oracle_direct(spec: CurveSpec, limit: int = DEFAULT_LIMIT) -> int:
-    """Literal scan of all (x, y) pairs; validates the fiber argument itself.
-
-    Refuses unless q^(2n) <= limit, so this is for tiny towers only.
-    """
+    """Literal count of the (x, y) pairs by the shared scan with terms ((1, i),),
+    against the per-tower count of y^q - y and with no trace or fiber argument,
+    which it thus validates.  Refuses unless q^(2n) <= limit: tiny towers only."""
     t = spec.tower
-    q, i, lam = t.q, spec.i, spec.lam
     _check_limit(t.q ** (2 * t.n), limit)
-    lhs = [t.xsub(t.xpow(y, q), y) for y in t.elements()]
+    return _direct_count(t, spec.terms, spec.lam)
+
+
+def _direct_count(t: FieldTower, terms, lam) -> int:
+    """#{(x_1, ..., x_r, y) : y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda}."""
+    key = (t.p, t.s, t.n)
+    if key not in _IMAGE_CACHE:
+        _IMAGE_CACHE[key] = Counter(t.xsub(t.xpow(y, t.q), y) for y in t.elements())
+    images = _IMAGE_CACHE[key]
+    values = [[t.xscale(a, t.xmul(x, t.xsub(t.frobenius(x, i), x))) for x in t.elements()]
+              for a, i in terms]
+    neg_lam = t.xneg(lam)
     count = 0
-    for x in t.elements():
-        rhs = t.xsub(t.xmul(x, t.xsub(t.frobenius(x, i), x)), lam)
-        count += sum(1 for z in lhs if z == rhs)
+    for tup in product(*values):
+        rhs = neg_lam
+        for v in tup:
+            rhs = t.xadd(rhs, v)
+        count += images.get(rhs, 0)
     return count
 
 
@@ -264,21 +276,12 @@ def oracle_hypersurface(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> i
 
 
 def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:
-    """Enumerates all q^(rn) coordinate tuples without the per-term split."""
+    """Literal count over all q^(rn) tuples by the shared scan, with no per-term
+    split, trace or histogram: each term once per x, every tuple's sum looked up
+    in the per-tower count of y^q - y.  Refuses unless q^(rn) (>= q^n) <= limit."""
     t = spec.tower
-    q, n, r = t.q, t.n, spec.r
-    _check_limit(q ** (n * r), limit)
-    _check_limit(q ** n, limit)
-    fibers = Counter(t.xsub(t.xpow(y, q), y) for y in t.elements())
-    count = 0
-    neg_lam = t.xneg(spec.lam)
-    for xs in product(list(t.elements()), repeat=r):
-        rhs = neg_lam
-        for (a, i), x in zip(spec.terms, xs):
-            term = t.xmul(x, t.xsub(t.frobenius(x, i), x))
-            rhs = t.xadd(rhs, t.xscale(a, term))
-        count += fibers.get(rhs, 0)
-    return count
+    _check_limit(t.q ** (t.n * spec.r), limit)
+    return _direct_count(t, spec.terms, spec.lam)
 
 
 def gauss_sum_numeric(p: int, s: int) -> complex:

@@ -66,6 +66,30 @@ def test_count_hypersurface_json(capsys):
     assert doc["branch"] == "even"
 
 
+def test_count_hypersurface_beyond_int_str_digit_limit(capsys):
+    # q^(rn + 1) = 169^2001 has about 4460 digits, past Python's default 4300
+    from artinschreier.counting import HypersurfaceSpec, count_hypersurface
+
+    digit_limit = sys.get_int_max_str_digits()
+    code, out, err = _run(capsys, ["count-hypersurface", "--p", "13", "--s", "2", "--n", "2",
+                                   "--i", ",".join(["1"] * 1000)])
+    assert code == 0 and err == "", err
+    assert sys.get_int_max_str_digits() == digit_limit
+    t = build_tower(13, 2, 2)
+    want = count_hypersurface(HypersurfaceSpec(t, ((1, 1),) * 1000, t.zero)).closed_form
+    assert want > 10 ** 4300
+    # parse with the limit lifted, as the CLI printed it
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["closedForm"] == want
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+    # argument parsing keeps the limit
+    code, _, err = _run(capsys, ["count-curve", "--p", "3", "--n", "2", "--i", "1",
+                                 "--lambda", "9" * 5000])
+    assert code == 1 and "integer list" in err
+
+
 def test_count_hypersurface_a_mismatch(capsys):
     code, _, err = _run(capsys, ["count-hypersurface", "--p", "3", "--n", "4",
                                  "--i", "1,2", "--a", "2"])
@@ -197,6 +221,27 @@ def test_sweep_jsonl(capsys):
         doc = json.loads(line)
         assert doc["schemaVersion"] == 1
         assert doc["closed_form"] == doc["oracle"]
+
+
+def test_sweep_beyond_int_str_digit_limit(capsys):
+    # 3^(2 * 5000 + 1) has 4772 digits, past Python's default 4300
+    digit_limit = sys.get_int_max_str_digits()
+    terms = ",".join(["1:1"] * 5000)
+    docs = {}
+    for fmt in ("csv", "jsonl"):
+        code, out, err = _run(capsys, ["sweep", "--p", "3", "--n-max", "2",
+                                       "--terms", terms, "--format", fmt])
+        assert code == 0 and err == "", err
+        assert sys.get_int_max_str_digits() == digit_limit
+        docs[fmt] = out
+    sys.set_int_max_str_digits(0)
+    try:
+        row = next(csv.DictReader(io.StringIO(docs["csv"])))
+        doc = json.loads(docs["jsonl"])
+        assert int(row["closed_form"]) == int(row["oracle"]) == doc["closed_form"]
+        assert doc["closed_form"] == doc["oracle"] > 10 ** 4300
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def test_sweep_terms_skips_small_n(capsys):

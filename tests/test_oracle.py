@@ -258,6 +258,17 @@ def test_oracle_hypersurface_convolution_vs_direct():
                 (p, s, n, r, spec.terms)
 
 
+def test_oracle_hypersurface_direct_refuses_oversize():
+    t = build_tower(3, 1, 4)
+    with pytest.raises(EnumerationLimitError) as exc:
+        oracle_hypersurface_direct(HypersurfaceSpec(t, ((1, 1), (2, 3)), t.zero), limit=10 ** 3)
+    assert exc.value.requested == 3 ** 8
+    t = build_tower(3, 1, 7)
+    with pytest.raises(EnumerationLimitError) as exc:
+        oracle_hypersurface_direct(HypersurfaceSpec(t, ((1, 1),), t.zero), limit=10 ** 3)
+    assert exc.value.requested == 3 ** 7
+
+
 def _reference_hypersurface_tuples(spec):
     """The per-tuple scan: every term is evaluated again for each tuple."""
     t = spec.tower
