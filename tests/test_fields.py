@@ -1,5 +1,6 @@
 """Tower construction, arithmetic, Frobenius, trace, character."""
 
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,11 @@ GOLDEN_TOWERS = {
     (3, 1, 60): ((0, 1),
         (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
         (0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2, 0, 2, 2, 2)),
+    (3, 1, 100): ((0, 1),
+        (1,) + (0,) * 93 + (1, 0, 2, 1, 1, 0, 1),
+        (1, 0, 1, 0, 0, 2, 1, 1, 2, 0, 1, 0, 0, 1, 2, 2, 2, 0, 1, 2, 2, 1, 1, 2, 2, 2, 1, 0, 1, 2, 1, 1, 0, 0,
+         2, 2, 0, 1, 0, 1, 0, 1, 2, 2, 0, 2, 0, 2, 2, 1, 2, 0, 2, 0, 1, 0, 2, 2, 0, 2, 2, 0, 0, 1, 2, 0, 1, 2,
+         1, 2, 2, 2, 2, 2, 0, 2, 1, 1, 1, 1, 2, 0, 0, 1, 1, 1, 2, 2, 1, 2, 1, 1, 2, 1, 0, 2, 0, 1, 2, 0)),
     (5, 2, 30): ((1, 1, 1),
         (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 13, 1),
         (0, 17, 19, 3, 4, 14, 0, 23, 4, 4, 11, 9, 2, 17, 19, 3, 4, 14, 0, 23, 4, 4, 11, 9, 2, 17, 19, 3, 4, 14)),
@@ -62,6 +68,44 @@ def test_tower_moduli_and_traces_golden(psn):
     assert t.ext_modulus == ext_modulus
     monomials = [tuple(1 if j == k else 0 for j in range(t.n)) for k in range(t.n)]
     assert tuple(t.trace(m) for m in monomials) == traces
+
+
+def _least_irreducible_by_trial_division(card, degree, mul, sub):
+    """The first monic polynomial of the given degree over a field of card
+    elements, in lexicographic order on (c_0, ..., c_{degree-1}) with c_0
+    most significant, that no monic polynomial of degree 1 to degree // 2
+    divides.  Plain long division: no Frobenius, no gcd."""
+    divisors = [list(low) + [1] for k in range(1, degree // 2 + 1)
+                for low in itertools.product(range(card), repeat=k)]
+
+    def divides(g, f):
+        r, k = list(f), len(g) - 1
+        for top in range(len(f) - 1, k - 1, -1):
+            c = r[top]
+            if c:
+                for j, gj in enumerate(g):
+                    r[top - k + j] = sub(r[top - k + j], mul(c, gj))
+        return not any(r[:k])
+
+    for low in itertools.product(range(card), repeat=degree):
+        f = list(low) + [1]
+        if not any(divides(g, f) for g in divisors):
+            return tuple(f)
+
+
+# every (p, s, n) with p <= 13, s <= 2, n >= 2 and q^(n // 2) <= 500
+SCAN_REFERENCE_TOWERS = [(p, s, n) for p in (3, 5, 7, 11, 13) for s in (1, 2)
+                         for n in range(2, 12) if p ** (s * (n // 2)) <= 500]
+
+
+def test_moduli_match_trial_division_reference():
+    for psn in SCAN_REFERENCE_TOWERS:
+        p, s, n = psn
+        t = build_tower(*psn)
+        base = _least_irreducible_by_trial_division(
+            p, s, lambda a, b: a * b % p, lambda a, b: (a - b) % p)
+        assert t.base_modulus == base, psn
+        assert t.ext_modulus == _least_irreducible_by_trial_division(t.q, n, t.bmul, t.bsub), psn
 
 
 def test_build_tower_cached_identity():
