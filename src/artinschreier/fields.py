@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 # A fourth root of unity i^e is represented by its exponent e in {0,1,2,3}.
 FourthRootUnit = int
 
-BaseElement = int
 ExtElement = tuple
 
 _LOG_TABLE_MAX_Q = 1 << 20
@@ -144,8 +143,9 @@ class _PolyOps:
 
     Polynomials are lists of field codes (0, 1 and p - 1 are zero, one and
     minus one), index = degree.  The field enters through mul, inv, frob
-    (a -> a^p) and scale_add(acc, off, c, row), which adds c * row[k] to
-    acc[off + k] for every k, so per-coefficient work stays in its loop.
+    (a -> a^p; None on F_p, where it is the identity) and
+    scale_add(acc, off, c, row), which adds c * row[k] to acc[off + k] for
+    every k, so per-coefficient work stays in its loop.
     """
 
     def __init__(self, p: int, s: int, mul, inv, scale_add, frob):
@@ -166,87 +166,110 @@ class _PolyOps:
         return self.rem(res, mod)
 
     def rem(self, f: list, mod: list) -> list:
-        f = list(f)
-        neg_lead_inv = self.mul(self.minus_one, self.inv(mod[-1]))
-        while len(f) >= len(mod):
-            c = f[-1]
-            if c:
-                self.scale_add(f, len(f) - len(mod), self.mul(c, neg_lead_inv), mod)
-            f.pop()
+        """f mod mod, in place in f; a monic mod (every candidate) needs no inverse."""
+        d, mul = len(mod) - 1, self.mul
+        neg_inv = self.minus_one if mod[-1] == 1 else mul(self.minus_one, self.inv(mod[-1]))
+        for top in range(len(f) - 1, d - 1, -1):
+            if f[top]:
+                self.scale_add(f, top - d, mul(f[top], neg_inv), mod)
+        del f[d:]
         return self.trim(f)
 
     def pow_poly(self, h: list, e: int, mod: list) -> list:
-        base = self.rem(h, mod)
-        result = [1]
-        for bit in bin(e)[2:]:
+        """h^e mod mod, e >= 1."""
+        base = result = self.rem(list(h), mod)
+        for bit in bin(e)[3:]:
             result = self.mul_mod(result, result, mod)
             if bit == "1":
                 result = self.mul_mod(result, base, mod)
         return result
 
     def gcd(self, f: list, g: list) -> list:
-        f, g = self.trim(list(f)), self.trim(list(g))
+        f = list(f)
         while g:
             f, g = g, self.rem(f, g)
         return f
 
-    def is_irreducible(self, f: list) -> bool:
+    def is_irreducible(self, f: list, rootless: bool = False) -> bool:
         """Monic f of degree d >= 2 is reducible iff it has an irreducible
         factor of some degree k <= d/2, and such a factor divides
         gcd(x^(card^k) - x, f).  Walking h -> h^card visits x^(card^k) for
         k = 1, 2, ... and exits at the smallest factor degree, which is what
-        makes the lexicographic modulus scan affordable.
+        makes the lexicographic modulus scan affordable.  rootless says that
+        f has no root in F_card, which settles k = 1.
 
         h -> h^p is semilinear: it sends sum_j h_j x^j to sum_j h_j^p rows[j]
         with rows[j] = x^(jp) mod f, so s such steps raise h to card = p^s
-        without any squaring of h."""
-        d = len(f) - 1
+        without any squaring of h.  For p < d, x^p needs no reduction: row
+        j + 1 is row j shifted by p and reduced by f."""
+        d, p = len(f) - 1, self.p
         if d == 1:
             return True
-        x = [0, 1]
-        xp = self.pow_poly(x, self.p, f)
-        rows = [[1]]
-        h = x
-        for _ in range(d // 2):
+        xp = None if p < d else self.pow_poly([0, 1], p, f)
+        rows, h = [[1]], [0, 1]
+        for k in range(1, d // 2 + 1):
             for _ in range(self.s):
                 while len(rows) < len(h):
-                    rows.append(self.mul_mod(xp, rows[-1], f))
+                    rows.append(self.rem([0] * p + rows[-1], f) if xp is None
+                                else self.mul_mod(xp, rows[-1], f))
                 nxt = [0] * d
-                for c, row in zip(h, rows):
+                for c, row in zip(h if self.frob is None else map(self.frob, h), rows):
                     if c:
-                        self.scale_add(nxt, 0, self.frob(c), row)
+                        self.scale_add(nxt, 0, c, row)
                 h = self.trim(nxt)
-            diff = h + [0] * (2 - len(h))
-            self.scale_add(diff, 0, self.minus_one, x)
-            if len(self.gcd(diff, f)) != 1:
-                return False
+            if k > rootless:
+                diff = h + [0] * (2 - len(h))
+                self.scale_add(diff, 0, self.minus_one, [0, 1])
+                if len(self.gcd(f, self.trim(diff))) != 1:
+                    return False
         return True
 
     def least_irreducible(self, degree: int) -> list:
         """First monic irreducible of the given degree in lexicographic order
-        on (c_0, ..., c_{degree-1}), constant term most significant.
+        on (c_0, ..., c_{degree-1}), constant term most significant.  The
+        candidates are counted up like an odometer, so the field's elements
+        are never listed.
 
-        Candidate m has the base-card digits c_0 c_1 ... c_{degree-1}, so the
-        field's elements are never listed."""
+        While card is small next to the degree, a root screen replaces the
+        gcd at k = 1: f(a) over all a != 0 is sum_k c_k cols[k], cols[k]
+        listing the a^k, and about two candidates in three have a root."""
         card = self.card
-        # for degree >= 2 a zero constant term means x divides f; starting at
-        # c_0 = 1 keeps the scan linear in the useful candidates
-        for m in range(card ** (degree - 1) if degree > 1 else 0, card ** degree):
-            cand = [1]
-            for _ in range(degree):
-                m, c = divmod(m, card)
-                cand.append(c)
-            cand.reverse()
-            if self.is_irreducible(cand):
+        cols = [[1] * (card - 1)] if 1 < degree and card <= degree * degree else []
+        while cols and len(cols) <= degree:
+            cols.append(list(map(self.mul, cols[-1], range(1, card))))
+        # for degree >= 2 a zero constant term means x divides f, so the scan
+        # starts at c_0 = 1
+        cand = [int(degree > 1)] + [0] * (degree - 1) + [1]
+        while True:
+            values = [0] * len(cols[0]) if cols else []
+            for c, col in zip(cand, cols):
+                if c:
+                    self.scale_add(values, 0, c, col)
+            if 0 not in values and self.is_irreducible(cand, bool(cols)):
                 return cand
-        raise RuntimeError("no irreducible polynomial found")
+            j = degree - 1
+            while cand[j] == card - 1:
+                cand[j] = 0
+                j -= 1
+            if j < 0:
+                raise RuntimeError("no irreducible polynomial found")
+            cand[j] += 1
+
+
+def _fp_ops(p: int) -> _PolyOps:
+    """_PolyOps over F_p, with the mod-p operations passed in directly."""
+    return _PolyOps(p, 1, lambda a, b: a * b % p, lambda a: pow(a, p - 2, p),
+                    functools.partial(_fp_scale_add, p), None)
 
 
 class FieldTower:
     """The chain F_p < F_q = F_{p^s} < F_{q^n}; all arithmetic lives here.
 
-    Construct via build_tower().  Instances are immutable after construction
-    and safe for concurrent reads.
+    Construct via build_tower().  Construction validates p, s and n and
+    builds F_q; the extension modulus, the monomial traces and the Frobenius
+    tables are filled in on first use and never change after that.  Filling
+    them is idempotent (a racing second fill computes the same values and
+    assigns each attribute whole), so concurrent reads stay safe.
     """
 
     def __init__(self, p: int, s: int, n: int):
@@ -260,46 +283,55 @@ class FieldTower:
         self.q = p ** s
         self.ext_card = self.q ** n
 
-        fp = _PolyOps(p, 1, lambda a, b: a * b % p, lambda a: pow(a, p - 2, p),
-                      functools.partial(_fp_scale_add, p), lambda a: a)
-        self.base_modulus = tuple(fp.least_irreducible(s))
+        self.base_modulus = tuple(_fp_ops(p).least_irreducible(s))
         self._init_base_tables()
+        # absolute traces of the F_q basis monomials u^j, in F_p
+        self._btr_mono = self._power_sums(self.base_modulus, s)
+        self.zero = tuple([0] * n)
+        self.one = tuple([1] + [0] * (n - 1))
+        self._frob_matrices = {}  # x -> x^(q^k) by k, filled by _frob_matrix
+        # filled by _extension() on first use, so a count whose lambda lies in
+        # F_q never searches.  Plain attributes checked for None where needed:
+        # __getattr__, or cached_property writing through __dict__, slowed
+        # every later attribute read on the tower on CPython 3.11
+        self._ext_modulus = self._tr_mono = None
 
-        # a -> a^p on F_q, one table lookup when the log tables exist
-        if s > 1 and self._exp is not None:
-            exp, log, qm1 = self._exp, self._log, self.q - 1
-            frob = lambda a: exp[log[a] * p % qm1] if a else 0
+    @property
+    def ext_modulus(self) -> tuple:
+        """The extension modulus, searched on first read; the arithmetic
+        reads the plain attribute _ext_modulus instead."""
+        return self._ext_modulus or self._extension()
+
+    def _extension(self) -> tuple:
+        """Search the extension modulus, derive Tr(t^k) for 0 <= k <= 2n - 2
+        from it, and return it."""
+        p, n = self.p, self.n
+        if self.s == 1:
+            fq = _fp_ops(p)
         else:
-            frob = lambda a: self.bpow(a, p) if s > 1 else a
-        fq = _PolyOps(p, s, self.bmul, self.binv, self._bscale_add, frob)
-        self.ext_modulus = tuple(fq.least_irreducible(n))
-        self._init_ext_tables()
+            # a -> a^p on F_q, one table lookup when the log tables exist
+            exp, log, qm1 = self._exp, self._log, self.q - 1
+            frob = (lambda a: exp[log[a] * p % qm1] if a else 0) if exp else (lambda a: self.bpow(a, p))
+            fq = _PolyOps(p, self.s, self.bmul, self.binv, self._bscale_add, frob)
+        modulus = tuple(fq.least_irreducible(n))
+        self._tr_mono = self._power_sums(modulus, 2 * n - 1)
+        self._ext_modulus = modulus
+        return modulus
 
     # ----- F_q arithmetic on int codes -----
 
     def _init_base_tables(self) -> None:
         p, s, q = self.p, self.s, self.q
-        if s == 1:
-            self._exp = self._log = None
-            self._add = self._sub = None
-            return
-        if q <= _ADD_TABLE_MAX_Q:
+        self._exp = self._log = self._add = self._sub = None
+        if s > 1 and q <= _ADD_TABLE_MAX_Q:
             self._add = _digitwise_table(p, s, lambda x, y: x + y)
             self._sub = _digitwise_table(p, s, lambda x, y: x - y)
-        else:
-            self._add = self._sub = None
-        if q > _LOG_TABLE_MAX_Q:
-            self._exp = self._log = None
+        if s == 1 or q > _LOG_TABLE_MAX_Q:
             return
-        # discrete-log tables over a primitive element
+        # discrete-log tables over a primitive element; bpow runs on
+        # _bmul_generic until they exist
         factors = _prime_factors(q - 1)
-        g = None
-        for cand in range(2, q):
-            if all(self._bpow_generic(cand, (q - 1) // ell) != 1 for ell in factors):
-                g = cand
-                break
-        if g is None:
-            raise RuntimeError(f"no primitive element of F_{q} found")
+        g = next(a for a in range(2, q) if all(self.bpow(a, (q - 1) // ell) != 1 for ell in factors))
         exp = [1] * (q - 1)
         for k in range(1, q - 1):
             exp[k] = self._bmul_generic(exp[k - 1], g)
@@ -327,28 +359,11 @@ class FieldTower:
                     res[top - s + m] = (res[top - s + m] - c * mod[m]) % p
         return self.base_from_digits(res[:s])
 
-    def _bpow_generic(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._bmul_generic(r, a)
-            a = self._bmul_generic(a, a)
-            e >>= 1
-        return r
-
     def base_digits(self, a: int) -> list:
-        p = self.p
-        out = []
-        for _ in range(self.s):
-            a, d = divmod(a, p)
-            out.append(d)
-        return out
+        return [a // self.p ** k % self.p for k in range(self.s)]
 
     def base_from_digits(self, digits: Sequence) -> int:
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + d
-        return a
+        return sum(d * self.p ** k for k, d in enumerate(digits))
 
     def badd(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -379,9 +394,7 @@ class FieldTower:
         return self._bmul_generic(a, b)
 
     def _bscale_add(self, acc: list, off: int, c: int, row: Sequence) -> None:
-        """acc[off + k] += c * row[k] in F_q, for every k; c is nonzero."""
-        if self.s == 1:
-            return _fp_scale_add(self.p, acc, off, c, row)
+        """acc[off + k] += c * row[k] in F_q, s > 1, for every k; c is nonzero."""
         if self._add is not None:
             add, exp, log, q, qm1 = self._add, self._exp, self._log, self.q, self.q - 1
             lc = log[c]
@@ -400,17 +413,16 @@ class FieldTower:
             return pow(a, self.p - 2, self.p)
         if self._exp is not None:
             return self._exp[(-self._log[a]) % (self.q - 1)]
-        return self._bpow_generic(a, self.q - 2)
+        return self.bpow(a, self.q - 2)
 
     def bpow(self, a: int, e: int) -> int:
         if e < 0:
             return self.bpow(self.binv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
+        r = a if e else 1
+        for bit in bin(e)[3:]:
+            r = self.bmul(r, r)
+            if bit == "1":
                 r = self.bmul(r, a)
-            a = self.bmul(a, a)
-            e >>= 1
         return r
 
     def base_from_int(self, m: int) -> int:
@@ -433,21 +445,6 @@ class FieldTower:
 
     # ----- F_{q^n} arithmetic on coefficient tuples -----
 
-    def _init_ext_tables(self) -> None:
-        n = self.n
-        self.zero = tuple([0] * n)
-        self.one = tuple([1] + [0] * (n - 1))
-
-        self._frob_matrices = {0: [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]}
-
-        self._tr_mono = self._power_sums(self.ext_modulus, n)
-        # absolute traces of the F_q basis monomials u^j, in F_p
-        self._btr_mono = self._power_sums(self.base_modulus, self.s)
-        # filled by monomial_traces(); set here, not by functools.cached_property,
-        # whose write through __dict__ slowed every later attribute read on the
-        # tower by 15-30% on CPython 3.11
-        self._tr_mono_wide = None
-
     def _power_sums(self, c: Sequence, count: int) -> list:
         """Power sums p_0, ..., p_{count-1} of the roots of the monic modulus
         t^d + c_{d-1} t^(d-1) + ... + c_0, that is the traces of t^0, t^1,
@@ -467,18 +464,17 @@ class FieldTower:
 
     def monomial_traces(self) -> list:
         """Tr(t^k) for 0 <= k <= 2n - 2, the traces of all products of two
-        basis monomials; computed on first use, not at construction."""
-        if self._tr_mono_wide is None:
-            self._tr_mono_wide = self._power_sums(self.ext_modulus, 2 * self.n - 1)
-        return self._tr_mono_wide
+        basis monomials."""
+        if self._tr_mono is None:
+            self._extension()
+        return self._tr_mono
 
     def _frob_matrix(self, k: int):
-        """Rows are the images of t^0, ..., t^(n-1) under x -> x^(q^k), built
-        on first use: k = 1 from powers of t^q, k >= 2 by applying k = 1."""
-        k %= self.n
+        """Rows are the images of t^0, ..., t^(n-1) under x -> x^(q^k), 0 < k < n,
+        built on first use: k = 1 from powers of t^q, k >= 2 by applying k = 1."""
         if k not in self._frob_matrices:
             if k == 1:
-                t_q = self.xpow(self._frob_matrices[0][1], self.q)
+                t_q = self.xpow(tuple(1 if j == 1 else 0 for j in range(self.n)), self.q)
                 rows = [self.one]
                 for _ in range(self.n - 1):
                     rows.append(self.xmul(rows[-1], t_q))
@@ -516,7 +512,7 @@ class FieldTower:
                 for m, ym in enumerate(y):
                     if ym:
                         res[k + m] = self.badd(res[k + m], self.bmul(xk, ym))
-        mod = self.ext_modulus
+        mod = self._ext_modulus or self._extension()
         for top in range(2 * n - 2, n - 1, -1):
             c = res[top]
             if c:
@@ -531,12 +527,11 @@ class FieldTower:
     def xpow(self, x: ExtElement, e: int) -> ExtElement:
         if e < 0:
             return self.xpow(self.xinv(x), -e)
-        r = self.one
-        while e:
-            if e & 1:
+        r = x if e else self.one
+        for bit in bin(e)[3:]:
+            r = self.xmul(r, r)
+            if bit == "1":
                 r = self.xmul(r, x)
-            x = self.xmul(x, x)
-            e >>= 1
         return r
 
     def xinv(self, x: ExtElement) -> ExtElement:
@@ -550,14 +545,21 @@ class FieldTower:
 
     def frobenius(self, x: ExtElement, k: int = 1) -> ExtElement:
         """x^(q^k); k is reduced mod n."""
-        return self._apply_frob_matrix(x, k % self.n)
+        k %= self.n
+        return self._apply_frob_matrix(x, k) if k else x
 
     def trace(self, x: ExtElement) -> int:
-        """Tr(x) = x + x^q + ... + x^(q^(n-1)), as a base element."""
+        """Tr(x) = x + x^q + ... + x^(q^(n-1)), as a base element.  Tr(x) is
+        n x_0 for x in F_q, which needs no extension modulus."""
+        tr = self._tr_mono
+        if tr is None:
+            if not any(x[1:]):
+                return self.bmul(self.base_from_int(self.n), x[0])
+            tr = self.monomial_traces()
         if self.s == 1:
-            return sum(map(mul, x, self._tr_mono)) % self.p
+            return sum(map(mul, x, tr)) % self.p
         acc = 0
-        for c, t in zip(x, self._tr_mono):
+        for c, t in zip(x, tr):
             if c and t:
                 acc = self.badd(acc, self.bmul(c, t))
         return acc
@@ -588,9 +590,6 @@ class FieldTower:
 
     def random_element(self, rng: random.Random) -> ExtElement:
         return self.ext_from_int(rng.randrange(self.ext_card))
-
-    def random_base_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.q)
 
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, s={self.s}, n={self.n})"

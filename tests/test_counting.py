@@ -1,10 +1,15 @@
 """Closed-form counts, Weil bounds, classification bundles."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import artinschreier
 from artinschreier.counting import (
     CountReport,
     CurveSpec,
@@ -19,7 +24,7 @@ from artinschreier.counting import (
     hypersurface_invariants,
     weil_bounds,
 )
-from artinschreier.fields import build_tower
+from artinschreier.fields import FieldTower, build_tower
 from artinschreier.oracle import DEFAULT_LIMIT, oracle_curve, oracle_hypersurface
 
 from conftest import grid_towers, random_terms, zero_trace_element
@@ -368,6 +373,41 @@ def test_curve_theorem_reference():
                         assert label == rep.classification == labels[bundle["sign"]], where
                         checked += 1
     assert checked == 4590
+
+
+# ------------------------------------------- counts that need no modulus
+
+
+def test_count_curve_lambda_in_base_field_skips_the_modulus_search():
+    # Tr(lambda) = n lambda_0 for lambda in F_q, so these counts never search
+    # for a modulus of degree 2000; the search alone would take minutes
+    n, i = 2000, 7
+    src = os.path.dirname(os.path.dirname(artinschreier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    t = FieldTower(3, 1, n)
+    for lam0 in (0, 2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "artinschreier.cli", "count-curve", "--p", "3",
+             "--n", str(n), "--i", str(i), "--lambda", str(lam0)],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        count, branch, _ = _curve_theorem(t, i, n * lam0 % 3)
+        assert json.loads(proc.stdout)["closedForm"] == count
+        spec = CurveSpec(t, i, t.embed(lam0))
+        assert (count_curve(spec).closed_form, count_curve(spec).branch) == (count, branch)
+        classify_curve(spec)
+        classify_hypersurface(HypersurfaceSpec(t, ((1, i), (2, 3)), t.embed(lam0)))
+    assert t._ext_modulus is None and t._tr_mono is None
+
+
+def test_trace_builds_the_modulus_on_first_need():
+    lazy, eager = FieldTower(3, 1, 30), FieldTower(3, 1, 30)
+    eager.ext_modulus  # the search runs first, before any count
+    count_curve(CurveSpec(lazy, 7, lazy.embed(2)))
+    assert lazy._ext_modulus is None
+    lam = (1, 2) + (0,) * 28
+    assert lazy.trace(lam) == eager.trace(lam)
+    assert lazy._ext_modulus == eager.ext_modulus
 
 
 # -------------------------------------------------------------- validation

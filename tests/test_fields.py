@@ -212,6 +212,26 @@ def test_extension_field_axioms_sampled():
             assert t.xmul(x, t.xinv(x)) == t.one
 
 
+def test_powers_use_no_extra_products():
+    # y^3 = y^2 y and y^5 = (y^2)^2 y: no product with one and no square
+    # after the last bit
+    t = FieldTower(3, 1, 4)
+    xmul, calls = t.xmul, []
+    t.xmul = lambda x, y: calls.append((x, y)) or xmul(x, y)
+    y, y2 = (1, 2, 0, 1), xmul((1, 2, 0, 1), (1, 2, 0, 1))
+    assert t.xpow(y, 3) == xmul(y2, y) and calls == [(y, y), (y2, y)]
+    calls.clear()
+    assert t.xpow(y, 5) == xmul(xmul(y2, y2), y) and len(calls) == 3
+    calls.clear()
+    assert (t.xpow(y, 1), t.xpow(y, 0)) == (y, t.one) and calls == []
+    t = FieldTower(5, 2, 2)
+    bmul = t.bmul
+    t.bmul = lambda a, b: calls.append((a, b)) or bmul(a, b)
+    assert t.bpow(7, 3) == bmul(bmul(7, 7), 7) and len(calls) == 2
+    calls.clear()
+    assert (t.bpow(7, 1), t.bpow(7, 0)) == (7, 1) and calls == []
+
+
 def test_embed_and_scale():
     t = build_tower(3, 1, 2)
     assert t.embed(2) == (2, 0)
