@@ -78,21 +78,6 @@ class EnumerationLimitError(RuntimeError):
             f"enumeration of {requested} elements exceeds the limit {limit}")
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(m: int) -> list:
     out = []
     d = 2
@@ -167,13 +152,15 @@ class _PolyOps:
 
     def rem(self, f: list, mod: list) -> list:
         """f mod mod, in place in f; a monic mod (every candidate) needs no inverse."""
-        d, mul = len(mod) - 1, self.mul
+        d, mul, scale_add = len(mod) - 1, self.mul, self.scale_add
         neg_inv = self.minus_one if mod[-1] == 1 else mul(self.minus_one, self.inv(mod[-1]))
         for top in range(len(f) - 1, d - 1, -1):
             if f[top]:
-                self.scale_add(f, top - d, mul(f[top], neg_inv), mod)
+                scale_add(f, top - d, mul(f[top], neg_inv), mod)
         del f[d:]
-        return self.trim(f)
+        while f and not f[-1]:
+            f.pop()
+        return f
 
     def pow_poly(self, h: list, e: int, mod: list) -> list:
         """h^e mod mod, e >= 1."""
@@ -210,8 +197,8 @@ class _PolyOps:
         for k in range(1, d // 2 + 1):
             for _ in range(self.s):
                 while len(rows) < len(h):
-                    rows.append(self.rem([0] * p + rows[-1], f) if xp is None
-                                else self.mul_mod(xp, rows[-1], f))
+                    row = [0] * p + rows[-1] if xp is None else self.mul_mod(xp, rows[-1], f)
+                    rows.append(row if len(row) <= d else self.rem(row, f))
                 nxt = [0] * d
                 for c, row in zip(h if self.frob is None else map(self.frob, h), rows):
                     if c:
@@ -231,29 +218,36 @@ class _PolyOps:
         are never listed.
 
         While card is small next to the degree, a root screen replaces the
-        gcd at k = 1: f(a) over all a != 0 is sum_k c_k cols[k], cols[k]
-        listing the a^k, and about two candidates in three have a root."""
-        card = self.card
-        cols = [[1] * (card - 1)] if 1 < degree and card <= degree * degree else []
+        gcd at k = 1: values[a - 1] = f(a) = sum_k c_k cols[k][a - 1] with
+        cols[k][a - 1] = a^k, kept up to date as the odometer turns; about
+        two candidates in three have a root."""
+        card, scale_add = self.card, self.scale_add
+        cols = [[1] * (card - 1)] if 1 < degree and card <= 4 * degree * degree else []
         while cols and len(cols) <= degree:
             cols.append(list(map(self.mul, cols[-1], range(1, card))))
         # for degree >= 2 a zero constant term means x divides f, so the scan
         # starts at c_0 = 1
         cand = [int(degree > 1)] + [0] * (degree - 1) + [1]
+        values = [0] * len(cols[0]) if cols else []
+        for c, col in zip(cand, cols):
+            if c:
+                scale_add(values, 0, c, col)
         while True:
-            values = [0] * len(cols[0]) if cols else []
-            for c, col in zip(cand, cols):
-                if c:
-                    self.scale_add(values, 0, c, col)
             if 0 not in values and self.is_irreducible(cand, bool(cols)):
                 return cand
-            j = degree - 1
-            while cand[j] == card - 1:
-                cand[j] = 0
+            j = degree
+            while True:
                 j -= 1
-            if j < 0:
-                raise RuntimeError("no irreducible polynomial found")
-            cand[j] += 1
+                if j < 0:
+                    raise RuntimeError("no irreducible polynomial found")
+                old = cand[j]
+                cand[j] = (old + 1) % card
+                if cols and old:
+                    scale_add(values, 0, self.mul(self.minus_one, old), cols[j])
+                if cols and cand[j]:
+                    scale_add(values, 0, cand[j], cols[j])
+                if cand[j]:
+                    break
 
 
 def _fp_ops(p: int) -> _PolyOps:
@@ -273,7 +267,7 @@ class FieldTower:
     """
 
     def __init__(self, p: int, s: int, n: int):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"p = {p} is not prime")
         if p == 2:
             raise ValueError("even characteristic unsupported")
@@ -453,12 +447,14 @@ class FieldTower:
         p_k = -sum_{0<j<=d} c_{d-j} p_{k-j} for k > d.  They divide by
         nothing, so they hold in characteristic p as well."""
         d = len(c) - 1
+        terms = [(j, c[d - j]) for j in range(1, d + 1) if c[d - j]]
         sums = [self.base_from_int(d)]
         for k in range(1, count):
             acc = self.bmul(self.base_from_int(k), c[d - k]) if k <= d else 0
-            for j in range(1, min(k, d + 1)):
-                if c[d - j]:
-                    acc = self.badd(acc, self.bmul(c[d - j], sums[k - j]))
+            for j, cj in terms:
+                if j >= k:
+                    break
+                acc = self.badd(acc, self.bmul(cj, sums[k - j]))
             sums.append(self.bneg(acc))
         return sums
 
@@ -578,10 +574,7 @@ class FieldTower:
         return tuple(out)
 
     def ext_to_int(self, x: ExtElement) -> int:
-        m = 0
-        for c in reversed(x):
-            m = m * self.q + c
-        return m
+        return sum(c * self.q ** k for k, c in enumerate(x))
 
     def elements(self) -> Iterator:
         """All of F_{q^n} in odometer order, least significant coefficient fastest."""
