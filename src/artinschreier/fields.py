@@ -217,10 +217,10 @@ class _PolyOps:
         candidates are counted up like an odometer, so the field's elements
         are never listed.
 
-        While card is small next to the degree, a root screen replaces the
-        gcd at k = 1: values[a - 1] = f(a) = sum_k c_k cols[k][a - 1] with
-        cols[k][a - 1] = a^k, kept up to date as the odometer turns; about
-        two candidates in three have a root."""
+        While card <= 4 degree^2, where evaluating costs less than the gcd at
+        k = 1, a root screen replaces that gcd: values[a - 1] = f(a) =
+        sum_k c_k cols[k][a - 1] with cols[k][a - 1] = a^k, kept up to date
+        as the odometer turns; about two candidates in three have a root."""
         card, scale_add = self.card, self.scale_add
         cols = [[1] * (card - 1)] if 1 < degree and card <= 4 * degree * degree else []
         while cols and len(cols) <= degree:
@@ -305,7 +305,8 @@ class FieldTower:
         else:
             # a -> a^p on F_q, one table lookup when the log tables exist
             exp, log, qm1 = self._exp, self._log, self.q - 1
-            frob = (lambda a: exp[log[a] * p % qm1] if a else 0) if exp else (lambda a: self.bpow(a, p))
+            frob = ((lambda a: exp[log[a] * p % qm1] if a else 0) if exp
+                    else (lambda a: self.bpow(a, p)))
             fq = _PolyOps(p, self.s, self.bmul, self.binv, self._bscale_add, frob)
         modulus = tuple(fq.least_irreducible(n))
         self._tr_mono = self._power_sums(modulus, 2 * n - 1)
@@ -325,7 +326,8 @@ class FieldTower:
         # discrete-log tables over a primitive element; bpow runs on
         # _bmul_generic until they exist
         factors = _prime_factors(q - 1)
-        g = next(a for a in range(2, q) if all(self.bpow(a, (q - 1) // ell) != 1 for ell in factors))
+        g = next(a for a in range(2, q)
+                 if all(self.bpow(a, (q - 1) // ell) != 1 for ell in factors))
         exp = [1] * (q - 1)
         for k in range(1, q - 1):
             exp[k] = self._bmul_generic(exp[k - 1], g)
@@ -592,6 +594,7 @@ class FieldTower:
 def build_tower(p: int, s: int, n: int) -> FieldTower:
     """Construct the tower F_p < F_{p^s} < F_{(p^s)^n} with deterministic moduli.
 
-    Towers are immutable, so identical parameters share one cached instance.
+    A tower's values never change once filled in, so identical parameters
+    share one cached instance.
     """
     return FieldTower(p, s, n)
