@@ -86,7 +86,7 @@ def _prime_factors(m: int) -> list:
             out.append(d)
             while m % d == 0:
                 m //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if m > 1:
         out.append(m)
     return out
@@ -158,9 +158,7 @@ class _PolyOps:
             if f[top]:
                 scale_add(f, top - d, mul(f[top], neg_inv), mod)
         del f[d:]
-        while f and not f[-1]:
-            f.pop()
-        return f
+        return self.trim(f)
 
     def pow_poly(self, h: list, e: int, mod: list) -> list:
         """h^e mod mod, e >= 1."""
