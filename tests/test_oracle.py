@@ -258,6 +258,38 @@ def test_oracle_hypersurface_convolution_vs_direct():
                 (p, s, n, r, spec.terms)
 
 
+def _full_convolution_count(spec):
+    """q times the fiber at Tr(lambda) of the whole r-fold convolution of the
+    per-term histograms over (F_q, +), one dict per step."""
+    t = spec.tower
+    conv = {c: 0 for c in range(t.q)}
+    conv[0] = 1
+    for a, i in spec.terms:
+        hist = qf_histogram(t, i, a)
+        out = {c: 0 for c in range(t.q)}
+        for c1, m1 in conv.items():
+            if m1 == 0:
+                continue
+            for c2, m2 in hist.items():
+                if m2:
+                    out[t.badd(c1, c2)] += m1 * m2
+        conv = out
+    return t.q * conv[t.trace(spec.lam)]
+
+
+def test_oracle_hypersurface_matches_full_convolution():
+    rng = random.Random(131)
+    for p, s, n in [(3, 1, 4), (5, 1, 3), (7, 1, 2), (3, 2, 3), (3, 3, 2)]:
+        t = build_tower(p, s, n)
+        basis = [tuple(int(j == u) for j in range(n)) for u in range(n)]
+        lams = [t.zero] + basis + [t.random_element(rng) for _ in range(2)]
+        for r in range(1, 5):
+            for lam in lams:
+                spec = HypersurfaceSpec(t, random_terms(t, rng, r), lam)
+                assert oracle_hypersurface(spec) == _full_convolution_count(spec), \
+                    (p, s, n, spec.terms, lam)
+
+
 def test_oracle_hypersurface_direct_refuses_oversize():
     t = build_tower(3, 1, 4)
     with pytest.raises(EnumerationLimitError) as exc:
