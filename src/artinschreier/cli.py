@@ -27,7 +27,8 @@ import sys
 from .counting import (CountReport, CurveSpec, HypersurfaceSpec,
                        classify_curve_detail, classify_hypersurface_detail,
                        count_curve, count_hypersurface)
-from .fields import DEFAULT_LIMIT, EnumerationLimitError, FieldTower, build_tower
+from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower, PrimalityLimitError,
+                     build_tower)
 
 SCHEMA_VERSION = 1
 
@@ -334,7 +335,7 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, PrimalityLimitError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
 

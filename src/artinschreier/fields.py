@@ -78,6 +78,47 @@ class EnumerationLimitError(RuntimeError):
             f"enumeration of {requested} elements exceeds the limit {limit}")
 
 
+# Miller-Rabin with the first 13 prime bases is exact below psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+class PrimalityLimitError(RuntimeError):
+    """Raised instead of testing a p at or above _MR_EXACT_BELOW, where the
+    deterministic primality test is no longer proven exact."""
+
+    def __init__(self, p: int):
+        self.p = p
+        super().__init__(
+            f"p = {p} is not below {_MR_EXACT_BELOW}, the bound of the exact primality test")
+
+
+def _is_prime(m: int) -> bool:
+    """Strong-probable-prime test to the bases 2, 3, ..., 41; exact for
+    m < _MR_EXACT_BELOW, in O(log m) multiplications per base."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(m: int) -> list:
     out = []
     d = 2
@@ -265,7 +306,9 @@ class FieldTower:
     """
 
     def __init__(self, p: int, s: int, n: int):
-        if _prime_factors(p) != [p]:
+        if p >= _MR_EXACT_BELOW:
+            raise PrimalityLimitError(p)
+        if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p == 2:
             raise ValueError("even characteristic unsupported")
@@ -374,6 +417,16 @@ class FieldTower:
             return self._sub[a * self.q + b]
         return self.base_from_digits(
             [(x - y) % self.p for x, y in zip(self.base_digits(a), self.base_digits(b))])
+
+    def bsub_row(self, a: int) -> list:
+        """[a - b for b in F_q], b in code order: one row of the subtraction
+        table, so a caller pairing two histograms over F_q makes no method
+        call per pair."""
+        if self.s == 1:
+            return [*range(a, -1, -1), *range(self.p - 1, a, -1)]
+        if self._sub is not None:
+            return self._sub[a * self.q:(a + 1) * self.q]
+        return [self.bsub(a, b) for b in range(self.q)]
 
     def bneg(self, a: int) -> int:
         return self.bsub(0, a)

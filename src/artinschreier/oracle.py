@@ -3,7 +3,10 @@
 Nothing here consults the closed formulas.  Curve and hypersurface counts come
 from exact fiber counts of the trace form or, in the direct variants, from one
 literal scan that reads no trace or fiber argument (_direct_count); the
-Gauss/character sums are summed in floating point.
+Gauss/character sums are summed in floating point.  A hypersurface needs one
+fiber of the r-fold convolution of its per-term histograms, the one at
+Tr(lambda): the first r - 1 are convolved over (F_q, +) and the result is
+paired with the last at that value.
 
 The trace-form histogram works on the F_p coordinates X of x: each base-p
 digit of Tr(a x (x^(q^i) - x)) is Q_c(X) = X G_c X^T mod p for an integer
@@ -29,6 +32,7 @@ import cmath
 import math
 from collections import Counter
 from itertools import product
+from operator import mul
 from typing import Dict, Optional
 
 import numpy as np
@@ -210,7 +214,7 @@ def qf_histogram(tower: FieldTower, i: int, a: int,
         raise ValueError(f"a={a} is not in F_q*")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size={chunk_size} is not positive")
-    _check_limit(t.q ** t.n, limit)
+    _check_limit(t.ext_card, limit)
     if chunk_size is not None:
         return _histogram_compute(t, i, a, chunk_size)
     key = (t.p, t.s, t.n, i, a)
@@ -253,26 +257,24 @@ def _direct_count(t: FieldTower, terms, lam) -> int:
     return count
 
 
-def _convolve(t: FieldTower, h1: ValueHistogram, h2: ValueHistogram) -> ValueHistogram:
-    out = {c: 0 for c in range(t.q)}
-    for c1, m1 in h1.items():
-        if m1 == 0:
-            continue
-        for c2, m2 in h2.items():
-            if m2:
-                out[t.badd(c1, c2)] += m1 * m2
-    return out
+def _fiber_pair(t: FieldTower, f: list, g: list, c: int) -> int:
+    """sum_b f[b] g[c - b] over F_q: the fiber at c of the convolution of f and g."""
+    return sum(map(mul, f, map(g.__getitem__, t.bsub_row(c))))
 
 
 def oracle_hypersurface(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:
-    """Convolves the r per-term histograms over (F_q, +) and reads the fiber
-    at Tr(lambda): cost r q^n + r q^2 instead of q^(rn)."""
+    """q * #{(x_1, ..., x_r) : sum_j Tr(a_j x_j (x_j^(q^i_j) - x_j)) = Tr(lambda)}:
+    convolves the first r - 1 per-term histograms over (F_q, +) and pairs the
+    result with the last histogram at Tr(lambda), so only that fiber of the
+    r-fold convolution is formed: cost r q^n + (r - 2) q^2 + 2 q instead of
+    q^(rn)."""
     t = spec.tower
-    conv = {c: 0 for c in range(t.q)}
-    conv[0] = 1
-    for a, i in spec.terms:
-        conv = _convolve(t, conv, qf_histogram(t, i, a, limit=limit))
-    return t.q * conv[t.trace(spec.lam)]
+    hists = [qf_histogram(t, i, a, limit=limit) for a, i in spec.terms]
+    conv, *rest = [list(map(h.__getitem__, range(t.q))) for h in hists]
+    for h in rest[:-1]:
+        conv = [_fiber_pair(t, conv, h, c) for c in range(t.q)]
+    target = t.trace(spec.lam)
+    return t.q * (_fiber_pair(t, conv, rest[-1], target) if rest else conv[target])
 
 
 def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:

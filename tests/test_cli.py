@@ -160,6 +160,23 @@ def test_verify_limit_exit_3(capsys):
     assert code == 3 and "refused:" in err
 
 
+def test_huge_p_answered_or_refused_fast(capsys):
+    # primality is decided by Miller-Rabin, exact below psi_13; from psi_13 on
+    # the tower is refused rather than tested
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "artinschreier.cli", "count-curve", "--p", str(10 ** 18 + 3),
+         "--n", "2", "--i", "1", "--lambda", "0"],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["p"] == 10 ** 18 + 3
+    code, out, err = _run(capsys, ["count-curve", "--p", "3317044064679887385961981",
+                                   "--n", "2", "--i", "1", "--lambda", "0"])
+    assert code == 3 and out == ""
+    assert err.startswith("refused:")
+
+
 # -------------------------------------------------------------- exit codes
 
 

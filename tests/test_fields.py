@@ -4,8 +4,9 @@ import itertools
 import random
 
 import pytest
+import sympy
 
-from artinschreier.fields import FieldTower, build_tower, tau_power
+from artinschreier.fields import FieldTower, _is_prime, build_tower, tau_power
 
 from conftest import grid_towers
 
@@ -125,6 +126,32 @@ def test_invalid_characteristic(p):
         FieldTower(p, 1, 2)
 
 
+def test_is_prime_matches_sympy():
+    assert [m for m in range(1, 200_000, 2) if _is_prime(m) != sympy.isprime(m)] == []
+
+
+def _strong_probable_prime(m, b):
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(b, d, m)
+    return x in (1, m - 1) or any(pow(x, 2 ** k, m) == m - 1 for k in range(1, r))
+
+
+@pytest.mark.parametrize("m,passes", [
+    (3215031751, (2, 3, 5, 7)),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    # caught by base 41 alone
+    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+])
+def test_strong_pseudoprimes_are_not_prime(m, passes):
+    assert not sympy.isprime(m)
+    assert all(_strong_probable_prime(m, b) for b in passes)
+    assert not _is_prime(m)
+    with pytest.raises(ValueError):
+        FieldTower(m, 1, 2)
+
+
 @pytest.mark.parametrize("s,n", [(0, 2), (1, 0), (-1, 3)])
 def test_invalid_degrees(s, n):
     with pytest.raises(ValueError):
@@ -171,6 +198,14 @@ def test_base_addition_tables_are_digitwise(ps):
                 [(x + y) % p for x, y in zip(da, db)])
             assert t._sub[a * q + b] == t.base_from_digits(
                 [(x - y) % p for x, y in zip(da, db)])
+
+
+@pytest.mark.parametrize("ps", [(7, 1), (3, 2), (3, 6)])
+def test_bsub_row(ps):
+    # the prime field, the table-backed path, and digits (q = 729 has no table)
+    t = build_tower(*ps, 1)
+    for a in sorted({0, 1, 2, t.q // 2, t.q - 1}):
+        assert t.bsub_row(a) == [t.bsub(a, b) for b in range(t.q)]
 
 
 def test_base_mul_group_structure():

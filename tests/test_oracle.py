@@ -290,6 +290,39 @@ def test_oracle_hypersurface_matches_full_convolution():
                     (p, s, n, spec.terms, lam)
 
 
+def test_oracle_histogram_requests_and_cache_hits(monkeypatch):
+    # a tracer counts cache hits from the module-level qf_histogram calls
+    from artinschreier import oracle
+
+    requests = []
+    real = oracle.qf_histogram
+
+    def counting(t, i, a, **kwargs):
+        requests.append((i, a))
+        return real(t, i, a, **kwargs)
+
+    monkeypatch.setattr(oracle, "qf_histogram", counting)
+    rng = random.Random(137)
+    t = build_tower(3, 2, 3)
+    answers = []
+    for r in range(1, 5):
+        spec = HypersurfaceSpec(t, random_terms(t, rng, r), t.random_element(rng))
+        requests.clear()
+        answers.append((oracle_hypersurface, spec, oracle_hypersurface(spec)))
+        assert requests == [(i, a) for a, i in spec.terms]
+    spec = CurveSpec(t, 2, t.random_element(rng))
+    requests.clear()
+    answers.append((oracle_curve, spec, oracle_curve(spec)))
+    assert requests == [(2, 1)]
+
+    def no_compute(*args):
+        raise AssertionError("a cache hit computed a histogram")
+
+    monkeypatch.setattr(oracle, "_histogram_compute", no_compute)
+    for fn, spec, want in answers:
+        assert fn(spec) == want
+
+
 def test_oracle_hypersurface_direct_refuses_oversize():
     t = build_tower(3, 1, 4)
     with pytest.raises(EnumerationLimitError) as exc:
