@@ -266,8 +266,8 @@ def oracle_hypersurface(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> i
     """q * #{(x_1, ..., x_r) : sum_j Tr(a_j x_j (x_j^(q^i_j) - x_j)) = Tr(lambda)}:
     convolves the first r - 1 per-term histograms over (F_q, +) and pairs the
     result with the last histogram at Tr(lambda), so only that fiber of the
-    r-fold convolution is formed: cost r q^n + (r - 2) q^2 + 2 q instead of
-    q^(rn)."""
+    r-fold convolution is formed: r histograms of q^n elements each and
+    (r - 2) q^2 + q products, where the literal scan visits q^(rn) tuples."""
     t = spec.tower
     hists = [qf_histogram(t, i, a, limit=limit) for a, i in spec.terms]
     conv, *rest = [list(map(h.__getitem__, range(t.q))) for h in hists]
