@@ -28,17 +28,31 @@ from typing import Optional, Tuple, Union
 from .fields import FieldTower, Record, tau_power
 
 
-class CurveSpec(Record):
-    __slots__ = ("tower", "i", "lam")
+class _Spec(Record):
+    """What both specs share: Tr(lambda), computed on first read and kept.
+    It is not a field, so a spec that has read it compares, hashes, prints
+    and copies like a fresh one; a lambda in F_q still needs no modulus."""
 
-    def __init__(self, tower: FieldTower, i: int, lam: tuple):
+    _trace = None
+
+    @property
+    def trace_lambda(self) -> int:
+        if self._trace is None:
+            object.__setattr__(self, "_trace", self.tower.trace(self.lam))
+        return self._trace
+
+
+class CurveSpec(_Spec):
+    tower: FieldTower
+    i: int
+    lam: tuple
+
+    def __new__(cls, tower: FieldTower, i: int, lam: tuple):
         if not 0 < i < tower.n:
             raise ValueError(f"need 0 < i < n, got i={i}, n={tower.n}")
         if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "lam", lam)
+        return tuple.__new__(cls, (tower, i, lam))
 
     @property
     def terms(self) -> tuple:
@@ -46,11 +60,12 @@ class CurveSpec(Record):
         return ((1, self.i),)
 
 
-class HypersurfaceSpec(Record):
-    __slots__ = ("tower", "terms", "lam")
+class HypersurfaceSpec(_Spec):
+    tower: FieldTower
+    terms: tuple  # ((a_1, i_1), ..., (a_r, i_r)), a_j in F_q*, 0 < i_j < n
+    lam: tuple
 
-    def __init__(self, tower: FieldTower, terms: tuple, lam: tuple):
-        # terms = ((a_1, i_1), ..., (a_r, i_r)), a_j in F_q*, 0 < i_j < n
+    def __new__(cls, tower: FieldTower, terms: tuple, lam: tuple):
         if len(terms) < 1:
             raise ValueError("need at least one term")
         for a, i in terms:
@@ -60,9 +75,7 @@ class HypersurfaceSpec(Record):
                 raise ValueError(f"need 0 < i_j < n, got i_j={i}, n={tower.n}")
         if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "lam", lam)
+        return tuple.__new__(cls, (tower, terms, lam))
 
     @property
     def r(self) -> int:
@@ -70,31 +83,20 @@ class HypersurfaceSpec(Record):
 
 
 class WeilBounds(Record):
-    __slots__ = ("lower", "upper", "half_integral")
-
-    def __init__(self, lower: int, upper: int, half_integral: bool):
-        # half_integral: the real bound has a half-integral q-exponent; floor stored
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "half_integral", half_integral)
+    lower: int
+    upper: int
+    half_integral: bool  # the real bound has a half-integral q-exponent; floor stored
 
 
 class CountReport(Record):
-    __slots__ = ("closed_form", "trace_lambda", "bound_lower", "bound_upper",
-                 "classification", "branch", "half_integral_bound", "oracle_count")
-
-    def __init__(self, closed_form: int, trace_lambda: int, bound_lower: int,
-                 bound_upper: int, classification: str, branch: str,
-                 half_integral_bound: bool, oracle_count: Optional[int] = None):
-        # classification is "Maximal" | "Minimal" | "Neither"
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "trace_lambda", trace_lambda)
-        object.__setattr__(self, "bound_lower", bound_lower)
-        object.__setattr__(self, "bound_upper", bound_upper)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "half_integral_bound", half_integral_bound)
-        object.__setattr__(self, "oracle_count", oracle_count)
+    closed_form: int
+    trace_lambda: int
+    bound_lower: int
+    bound_upper: int
+    classification: str  # "Maximal" | "Minimal" | "Neither"
+    branch: str
+    half_integral_bound: bool
+    oracle_count: Optional[int] = None
 
 
 class HypersurfaceInvariants(Record):
@@ -102,19 +104,15 @@ class HypersurfaceInvariants(Record):
     are F_q elements: prod over X of l_j^(d_j), prod over X of a_j^(n - d_j)
     and prod over Y of a_j^n; A = A1 A2."""
 
-    __slots__ = ("X", "Y", "D1", "D2", "L1", "A1", "A2", "A", "I")
-
-    def __init__(self, X: tuple, Y: tuple, D1: int, D2: int, L1: int,
-                 A1: int, A2: int, A: int, I: int):
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "D1", D1)
-        object.__setattr__(self, "D2", D2)
-        object.__setattr__(self, "L1", L1)
-        object.__setattr__(self, "A1", A1)
-        object.__setattr__(self, "A2", A2)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "I", I)
+    X: tuple
+    Y: tuple
+    D1: int
+    D2: int
+    L1: int
+    A1: int
+    A2: int
+    A: int
+    I: int
 
 
 def eps(alpha: int, q: int) -> int:
@@ -177,8 +175,7 @@ def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
             Y.append(j)
             D2 += d
             A2 = t.bmul(A2, t.bpow(a, n))
-    return HypersurfaceInvariants(X=tuple(X), Y=tuple(Y), D1=D1, D2=D2,
-                                  L1=L1, A1=A1, A2=A2, A=t.bmul(A1, A2), I=I)
+    return HypersurfaceInvariants(tuple(X), tuple(Y), D1, D2, L1, A1, A2, t.bmul(A1, A2), I)
 
 
 def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
@@ -187,7 +184,7 @@ def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     bounds are flagged half_integral (the floor is valid for integer counts)."""
     lower, upper, half = _weil_bounds(spec.tower, len(spec.terms),
                                       sum(i for _, i in spec.terms))
-    return WeilBounds(lower=lower, upper=upper, half_integral=half)
+    return WeilBounds(lower, upper, half)
 
 
 def _weil_bounds(t: FieldTower, r: int, I: int) -> Tuple[int, int, bool]:
@@ -207,7 +204,7 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
     t = spec.tower
     q, n, p, s = t.q, t.n, t.p, t.s
     terms = spec.terms
-    trl = t.trace(spec.lam)
+    trl = spec.trace_lambda
     nr = n * len(terms)
     R = I = iexp = 0
     chi_arg = 1
@@ -241,9 +238,7 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
                       "Minimal" if count == lower else "Neither")
     if classification != classify(spec):
         raise RuntimeError("condition bundle disagrees with bounds")
-    return CountReport(closed_form=count, trace_lambda=trl, bound_lower=lower,
-                       bound_upper=upper, classification=classification,
-                       branch=branch, half_integral_bound=half)
+    return CountReport(count, trl, lower, upper, classification, branch, half, None)
 
 
 def count_curve(spec: CurveSpec) -> CountReport:
@@ -293,7 +288,7 @@ def _attainment(spec: Union[CurveSpec, HypersurfaceSpec], bundle: bool) -> tuple
     t = spec.tower
     n, p, s = t.n, t.p, t.s
     terms = spec.terms
-    trace_zero = t.trace(spec.lam) == 0
+    trace_zero = spec.trace_lambda == 0
     nr = n * len(terms)
     if not (bundle or trace_zero and nr % 2 == 0):
         return trace_zero, nr % 2 == 0, None, None, None, None

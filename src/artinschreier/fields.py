@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 # A fourth root of unity i^e is represented by its exponent e in {0,1,2,3}.
@@ -33,15 +33,43 @@ _ADD_TABLE_MAX_Q = 1 << 9  # q*q add/sub lookup tables below this
 DEFAULT_LIMIT = 10_000_000
 
 
-class Record:
-    """Immutable value record.  A subclass names its fields in __slots__ and
-    sets each one in its own __init__ with object.__setattr__; equality
-    (within one class), hashing, repr and copying go by the fields in that
-    order.  Plain classes spare a CLI process the standard-library module
-    that generates such classes with exec: importing it costs more than a
+class Record(tuple):
+    """Immutable value record, held as one tuple of its field values.
+
+    A subclass declares its fields as annotated class attributes, in order;
+    a value assigned to one is its default.  Each field becomes a read-only
+    property over the tuple, so building a record from all its values in
+    order is one tuple construction however many fields it has; keywords
+    and defaults cost a dict merge, so the library passes every value
+    positionally.  Equality (within one class), hashing, repr
+    and copying go by the declared fields alone, so a subclass may keep a
+    derived value as an ordinary attribute without changing its value.
+    Plain classes spare a CLI process the standard-library modules that
+    generate such classes with exec: importing them costs more than a
     closed-form count."""
 
     __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if fields:
+            cls._fields = fields
+            cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+            for k, name in enumerate(fields):
+                setattr(cls, name, property(itemgetter(k)))
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs or len(args) != len(fields):
+            # a field given twice raises TypeError in the merge
+            values = dict(cls._defaults, **dict(zip(fields, args)), **kwargs)
+            if len(args) > len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+            args = [values[name] for name in fields]
+        return tuple.__new__(cls, args)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -49,23 +77,20 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__name__}({body})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(self)
 
 
 class EnumerationLimitError(RuntimeError):
@@ -608,6 +633,12 @@ class FieldTower:
         if self.s == 1:
             return sum(map(mul, x, tr)) % self.p
         acc = 0
+        if self._add is not None:
+            add, exp, log, q, qm1 = self._add, self._exp, self._log, self.q, self.q - 1
+            for c, t in zip(x, tr):
+                if c and t:
+                    acc = add[acc * q + exp[(log[c] + log[t]) % qm1]]
+            return acc
         for c, t in zip(x, tr):
             if c and t:
                 acc = self.badd(acc, self.bmul(c, t))

@@ -6,7 +6,9 @@ literal scan that reads no trace or fiber argument (_direct_count); the
 Gauss/character sums are summed in floating point.  A hypersurface needs one
 fiber of the r-fold convolution of its per-term histograms, the one at
 Tr(lambda): the first r - 1 are convolved over (F_q, +) and the result is
-paired with the last at that value.
+paired with the last at that value.  Only that value depends on lambda, so
+the histograms are cached per (tower, i, a), and the convolution with the
+fibers read from it per (tower, term multiset).
 
 The trace-form histogram works on the F_p coordinates X of x: each base-p
 digit of Tr(a x (x^(q^i) - x)) is Q_c(X) = X G_c X^T mod p for an integer
@@ -44,9 +46,12 @@ ValueHistogram = Dict[int, int]
 
 _CHUNK = 1 << 18
 
-# histograms by (p, s, n, i, a), y^q - y counts by (p, s, n); towers are cached singletons
+# histograms by (p, s, n, i, a), y^q - y counts by (p, s, n), convolution
+# fibers by (p, s, n, sorted terms) as (fibers read, conv, last) from
+# _fiber_entry; towers are cached singletons
 _HIST_CACHE: dict = {}
 _IMAGE_CACHE: dict = {}
+_FIBER_CACHE: dict = {}
 
 
 def _check_limit(requested: int, limit: int) -> None:
@@ -224,10 +229,9 @@ def qf_histogram(tower: FieldTower, i: int, a: int,
 
 
 def oracle_curve(spec: CurveSpec, limit: int = DEFAULT_LIMIT) -> int:
-    """q * #{x : Tr(x(x^(q^i) - x)) = Tr(lambda)}, the y-fibers having size q."""
-    t = spec.tower
-    hist = qf_histogram(t, spec.i, 1, limit=limit)
-    return t.q * hist[t.trace(spec.lam)]
+    """q * #{x : Tr(x(x^(q^i) - x)) = Tr(lambda)}, the y-fibers having size q:
+    the one-term read of the hypersurface oracle's fiber cache."""
+    return spec.tower.q * _read_fiber(spec, limit)
 
 
 def oracle_direct(spec: CurveSpec, limit: int = DEFAULT_LIMIT) -> int:
@@ -262,19 +266,54 @@ def _fiber_pair(t: FieldTower, f: list, g: list, c: int) -> int:
     return sum(map(mul, f, map(g.__getitem__, t.bsub_row(c))))
 
 
-def oracle_hypersurface(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:
-    """q * #{(x_1, ..., x_r) : sum_j Tr(a_j x_j (x_j^(q^i_j) - x_j)) = Tr(lambda)}:
-    convolves the first r - 1 per-term histograms over (F_q, +) and pairs the
-    result with the last histogram at Tr(lambda), so only that fiber of the
-    r-fold convolution is formed: r histograms of q^n elements each and
-    (r - 2) q^2 + q products, where the literal scan visits q^(rn) tuples."""
-    t = spec.tower
-    hists = [qf_histogram(t, i, a, limit=limit) for a, i in spec.terms]
-    conv, *rest = [list(map(h.__getitem__, range(t.q))) for h in hists]
-    for h in rest[:-1]:
+def _fiber_entry(t: FieldTower, terms: tuple, limit: int) -> tuple:
+    """(fibers, conv, last) for _FIBER_CACHE.  Histograms are requested in
+    the order of terms and convolved in sorted order, so every ordering of a
+    multiset builds the same entry.  One term: its histogram is every fiber.
+    r >= 2: no fiber yet, and lists indexed by F_q code of the convolution
+    of the first r - 1 ((r - 2) q^2 products) and of the last histogram."""
+    hists = [qf_histogram(t, i, a, limit=limit) for a, i in terms]
+    if len(hists) == 1:
+        return hists[0], None, None
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    conv, *rest, last = [list(map(hists[j].__getitem__, range(t.q))) for j in order]
+    for h in rest:
         conv = [_fiber_pair(t, conv, h, c) for c in range(t.q)]
-    target = t.trace(spec.lam)
-    return t.q * (_fiber_pair(t, conv, rest[-1], target) if rest else conv[target])
+    return {}, conv, last
+
+
+def _read_fiber(spec: CurveSpec | HypersurfaceSpec, limit: int) -> int:
+    """The fiber at Tr(lambda) of the r-fold convolution of the spec's
+    per-term histograms, from _FIBER_CACHE; a fiber not read before costs q
+    products.  Refuses when q^n > limit, also on a cache hit."""
+    t = spec.tower
+    _check_limit(t.ext_card, limit)
+    terms = spec.terms
+    key = (t.p, t.s, t.n, tuple(sorted(terms)))
+    entry = _FIBER_CACHE.get(key)
+    if entry is None:
+        entry = _FIBER_CACHE[key] = _fiber_entry(t, terms, limit)
+    fibers, conv, last = entry
+    c = spec.trace_lambda
+    fiber = fibers.get(c)
+    if fiber is None:
+        fiber = fibers[c] = _fiber_pair(t, conv, last, c)
+    return fiber
+
+
+def oracle_hypersurface(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:
+    """q * #{(x_1, ..., x_r) : sum_j Tr(a_j x_j (x_j^(q^i_j) - x_j)) = Tr(lambda)}.
+
+    Only the fiber at Tr(lambda) of the r-fold convolution over (F_q, +) of
+    the per-term histograms is formed.  A first call takes r histograms of
+    q^n elements each, convolves the first r - 1 in sorted order ((r - 2) q^2
+    products) and pairs the result with the last at Tr(lambda) (q products),
+    where the literal scan visits q^(rn) tuples.  The convolution and the
+    fibers read are cached per (tower, term multiset), so a later spec with
+    these terms in any order pays q products for a new fiber and one dict
+    read for a fiber already formed.  Refuses when q^n > limit.
+    """
+    return spec.tower.q * _read_fiber(spec, limit)
 
 
 def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:

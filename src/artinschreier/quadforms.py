@@ -19,23 +19,17 @@ from .fields import FieldTower, FourthRootUnit, Record, build_tower, tau_power
 class DiagonalizationResult(Record):
     """Invertible M with M H M^T = diag(diagonal); nonzero entries lead."""
 
-    __slots__ = ("transform", "diagonal", "rank")
-
-    def __init__(self, transform: list, diagonal: list, rank: int):
-        object.__setattr__(self, "transform", transform)
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "rank", rank)
+    transform: list
+    diagonal: list
+    rank: int
 
 
 class ExactValue(Record):
     """unit * q^(half_power_of_q / 2), unit = i^i_exponent; or exactly zero."""
 
-    __slots__ = ("i_exponent", "half_power_of_q", "zero")
-
-    def __init__(self, i_exponent: FourthRootUnit, half_power_of_q: int, zero: bool = False):
-        object.__setattr__(self, "i_exponent", i_exponent)
-        object.__setattr__(self, "half_power_of_q", half_power_of_q)
-        object.__setattr__(self, "zero", zero)
+    i_exponent: FourthRootUnit
+    half_power_of_q: int
+    zero: bool = False
 
     def is_real(self) -> bool:
         return self.zero or self.i_exponent % 2 == 0
@@ -57,11 +51,8 @@ class ExactValue(Record):
 
 
 class RankCharPrediction(Record):
-    __slots__ = ("rank", "character")
-
-    def __init__(self, rank: int, character: int):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "character", character)
+    rank: int
+    character: int
 
 
 def build_Mni(p: int, n: int, i: int) -> list:
@@ -202,7 +193,7 @@ def congruence_diagonalize(tower: FieldTower, H: Sequence) -> DiagonalizationRes
     rank = sum(1 for v in diagonal if v != 0)
     if any(v == 0 for v in diagonal[:rank]) or any(v != 0 for v in diagonal[rank:]):
         raise RuntimeError("nonzero diagonal entries do not lead")
-    return DiagonalizationResult(transform=M, diagonal=diagonal, rank=rank)
+    return DiagonalizationResult(M, diagonal, rank)
 
 
 def rank_and_char(tower: FieldTower, H: Sequence) -> tuple:
@@ -226,7 +217,7 @@ def predict_rank_char(p: int, s: int, n: int, i: int) -> RankCharPrediction:
         raise ValueError(f"need 0 < i < n, got i={i}, n={n}")
     tower = build_tower(p, s, 1)
     _, _, rank, sign, arg = term_invariants(tower, n, 1, i)
-    return RankCharPrediction(rank=rank, character=sign * tower.quadratic_character(arg))
+    return RankCharPrediction(rank, sign * tower.quadratic_character(arg))
 
 
 def find_special_basis(tower: FieldTower) -> list:
@@ -312,8 +303,8 @@ def char_sum_closed_form(tower: FieldTower, H: Sequence) -> ExactValue:
     n = len(H)
     l, chi_delta = rank_and_char(tower, H)
     if l == 0:
-        return ExactValue(i_exponent=0, half_power_of_q=2 * n)
+        return ExactValue(0, 2 * n, False)
     iexp = (2 * (l * (tower.s + 1)) + tau_power(tower.p, l * tower.s)) % 4
     if chi_delta == -1:
         iexp = (iexp + 2) % 4
-    return ExactValue(i_exponent=iexp, half_power_of_q=2 * n - l)
+    return ExactValue(iexp, 2 * n - l, False)

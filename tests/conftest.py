@@ -2,8 +2,20 @@
 
 import random
 
+import pytest
+
 from artinschreier.fields import build_tower
 from artinschreier.quadforms import fq_matrix_rank
+
+
+@pytest.fixture(autouse=True)
+def fresh_fiber_cache(monkeypatch):
+    """Every test starts with an empty oracle fiber cache, so whether an
+    oracle call is the first for its term multiset does not depend on which
+    tests ran before it.  The histogram cache is kept across tests."""
+    from artinschreier import oracle
+    monkeypatch.setattr(oracle, "_FIBER_CACHE", {})
+
 
 # (p, s) pairs of the verification grid; towers are the n >= 2 extensions
 # with q^n below the stated bound.

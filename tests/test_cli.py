@@ -197,6 +197,16 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error:" in err
 
 
+def test_verify_limit_exit_3_on_a_cached_fiber(capsys):
+    # the second call of each pair finds its fiber cached and still refuses
+    for argv in (["verify", "--p", "3", "--n", "4", "--i", "2", "--lambda", "1"],
+                 ["verify", "--p", "3", "--n", "4", "--i", "1,3,2", "--a", "1,2,2",
+                  "--lambda", "1"]):
+        assert _run(capsys, argv)[0] == 0
+        code, out, err = _run(capsys, argv + ["--limit", "80"])
+        assert code == 3 and out == "" and "refused:" in err
+
+
 # ------------------------------------------------------------------- sweep
 
 
@@ -226,6 +236,45 @@ def test_sweep_random_lambdas_deterministic(capsys):
     _, out2, _ = _run(capsys, argv)
     assert out1 == out2
     assert len(out1.splitlines()) == 1 + 3 * 3  # header + 3 lambdas per i
+
+
+SWEEP_TERMS_OUT = """\
+p,s,n,i_list,a_list,trace_lambda,closed_form,oracle,bound_lower,bound_upper,classification
+3,1,3,2;1,1;2,2,486,486,-729,2187,Neither
+3,1,3,2;1,1;2,1,486,486,-729,2187,Neither
+3,1,3,2;1,1;2,2,486,486,-729,2187,Neither
+3,1,3,2;1,1;2,0,1215,1215,-729,2187,Neither
+3,1,3,2;1,1;2,2,486,486,-729,2187,Neither
+3,1,4,2;1,1;2,2,5832,5832,2187,10935,Neither
+3,1,4,2;1,1;2,1,7290,7290,2187,10935,Neither
+3,1,4,2;1,1;2,1,7290,7290,2187,10935,Neither
+3,1,4,2;1,1;2,0,6561,6561,2187,10935,Neither
+3,1,4,2;1,1;2,0,6561,6561,2187,10935,Neither
+"""
+
+
+def test_sweep_computes_each_histogram_and_convolution_once_per_n(capsys, monkeypatch):
+    from artinschreier import oracle
+
+    computed, entries = [], []
+    real_compute, real_entry = oracle._histogram_compute, oracle._fiber_entry
+
+    def compute(t, i, a, chunk_size):
+        computed.append((t.n, i, a))
+        return real_compute(t, i, a, chunk_size)
+
+    def entry(t, terms, limit):
+        entries.append((t.n, terms))
+        return real_entry(t, terms, limit)
+
+    monkeypatch.setattr(oracle, "_HIST_CACHE", {})
+    monkeypatch.setattr(oracle, "_histogram_compute", compute)
+    monkeypatch.setattr(oracle, "_fiber_entry", entry)
+    code, out, _ = _run(capsys, ["sweep", "--p", "3", "--n-max", "4",
+                                 "--terms", "1:2,2:1", "--lambdas", "random:5"])
+    assert code == 0 and out == SWEEP_TERMS_OUT
+    assert computed == [(3, 2, 1), (3, 1, 2), (4, 2, 1), (4, 1, 2)]
+    assert entries == [(3, ((1, 2), (2, 1))), (4, ((1, 2), (2, 1)))]
 
 
 def test_sweep_jsonl(capsys):

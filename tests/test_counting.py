@@ -1,8 +1,10 @@
 """Closed-form counts, Weil bounds, classification bundles."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -408,6 +410,34 @@ def test_trace_builds_the_modulus_on_first_need():
     lam = (1, 2) + (0,) * 28
     assert lazy.trace(lam) == eager.trace(lam)
     assert lazy._ext_modulus == eager.ext_modulus
+
+
+def test_trace_lambda_computed_once_per_spec(monkeypatch):
+    calls = []
+    real = FieldTower.trace
+
+    def counted(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(FieldTower, "trace", counted)
+    t = build_tower(3, 2, 3)
+    lam = (4, 7, 1)
+    runs = [(CurveSpec, 2, count_curve, classify_curve, classify_curve_detail, oracle_curve),
+            (HypersurfaceSpec, ((1, 2), (5, 1), (1, 2)), count_hypersurface,
+             classify_hypersurface, classify_hypersurface_detail, oracle_hypersurface)]
+    for cls, what, *steps in runs:
+        spec = cls(t, what, lam)
+        calls.clear()
+        results = [step(spec) for step in steps]
+        assert calls == [lam], cls.__name__
+        assert results[0].trace_lambda == spec.trace_lambda == real(t, lam)
+        # a spec that holds its trace is the same value as a fresh one
+        fresh = cls(t, what, lam)
+        assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+        assert copy.copy(spec) == fresh and repr(copy.deepcopy(spec)) == repr(fresh)
+        assert pickle.dumps(spec) == pickle.dumps(fresh)
+        assert repr(pickle.loads(pickle.dumps(spec))) == repr(fresh)
 
 
 # -------------------------------------------------------------- validation

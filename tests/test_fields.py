@@ -319,10 +319,13 @@ def test_trace_examples():
     assert t.trace((1, 0)) == 2  # Tr(1) = n mod p
 
 
-@pytest.mark.parametrize("psn", [(3, 1, 6), (3, 1, 9), (5, 1, 10), (7, 1, 8), (3, 2, 6)])
+@pytest.mark.parametrize("psn", [(3, 1, 6), (3, 1, 9), (5, 1, 10), (7, 1, 8), (3, 2, 6),
+                                 (3, 7, 2)])
 def test_trace_is_sum_of_conjugates(psn):
     # p | n and n > p, so Newton's identities meet k = p, where the k c_{n-k}
-    # term vanishes; the conjugates come from xpow, not the Frobenius tables
+    # term vanishes; the conjugates come from xpow, not the Frobenius tables.
+    # (3,2,6) sums through the F_q add table; (3,7,2), with q > 512, has
+    # none and sums by method calls
     t = build_tower(*psn)
     rng = random.Random(sum(psn))
     basis = [tuple(1 if j == k else 0 for j in range(t.n)) for k in range(t.n)]

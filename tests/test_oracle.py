@@ -4,7 +4,7 @@ import cmath
 import math
 import random
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -22,7 +22,7 @@ from artinschreier.oracle import (
     qf_histogram,
 )
 
-from conftest import random_terms
+from conftest import random_terms, zero_trace_element
 
 
 # -------------------------------------------------------------- histograms
@@ -321,6 +321,51 @@ def test_oracle_histogram_requests_and_cache_hits(monkeypatch):
     monkeypatch.setattr(oracle, "_histogram_compute", no_compute)
     for fn, spec, want in answers:
         assert fn(spec) == want
+
+
+def test_fiber_cache_answers_every_term_order():
+    # the first ordering of each multiset misses, the others hit the entry,
+    # and a repeated trace hits a fiber already read
+    rng = random.Random(139)
+    for p, s, n in [(3, 1, 4), (5, 1, 3), (3, 2, 3)]:
+        t = build_tower(p, s, n)
+        for r in (1, 2, 3, 4):
+            terms = random_terms(t, rng, r)
+            lams = [t.random_element(rng) for _ in range(2)] + [t.zero]
+            for lam in lams:
+                want = _full_convolution_count(HypersurfaceSpec(t, terms, lam))
+                for order in set(permutations(terms)):
+                    spec = HypersurfaceSpec(t, order, lam)
+                    assert oracle_hypersurface(spec) == want, (p, s, n, order, lam)
+
+
+def test_fiber_cache_equal_traces_equal_answers():
+    rng = random.Random(149)
+    for p, s, n in [(3, 1, 5), (5, 1, 3), (3, 2, 3)]:
+        t = build_tower(p, s, n)
+        i = rng.randrange(1, n)
+        for terms in (((1, i),), random_terms(t, rng, 3)):
+            lam = t.random_element(rng)
+            # x^q - x has trace zero, so lam and its shift share Tr(lambda)
+            shifted = t.xadd(lam, zero_trace_element(t, rng))
+            assert shifted != lam and t.trace(shifted) == t.trace(lam)
+            want = _full_convolution_count(HypersurfaceSpec(t, terms, lam))
+            got = [oracle_hypersurface(HypersurfaceSpec(t, terms, x)) for x in (lam, shifted)]
+            if len(terms) == 1:
+                got += [oracle_curve(CurveSpec(t, i, x)) for x in (lam, shifted)]
+            assert got == [want] * len(got), (p, s, n, terms)
+
+
+def test_fiber_cache_hit_enforces_limit():
+    t = build_tower(3, 1, 4)
+    for spec in (CurveSpec(t, 1, (1, 0, 0, 0)),
+                 HypersurfaceSpec(t, ((1, 1), (2, 3), (1, 2)), (1, 0, 0, 0))):
+        oracle = oracle_curve if isinstance(spec, CurveSpec) else oracle_hypersurface
+        want = oracle(spec)
+        with pytest.raises(EnumerationLimitError) as exc:
+            oracle(spec, limit=80)
+        assert (exc.value.requested, exc.value.limit) == (81, 80)
+        assert oracle(spec, limit=81) == want
 
 
 def test_oracle_hypersurface_direct_refuses_oversize():
