@@ -6,8 +6,8 @@ Closed formulas for the number of affine rational points of
     y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda     over F_{q^n}^r x F_{q^n},
 
 together with Weil-bound attainment classification, the quadratic-form
-machinery behind the formulas, and exhaustive-enumeration oracles that verify
-every count independently.
+machinery behind the formulas, and oracles that verify every count
+independently (trace-form fiber counts; a literal scan on tiny towers).
 """
 
 from .counting import (CountReport, CurveSpec, HypersurfaceInvariants,

@@ -3,7 +3,7 @@
 Subcommands: count-curve, count-hypersurface, classify, verify, sweep,
 gauss-check.  Counting commands print a flat JSON report (schemaVersion 1);
 sweep emits CSV.  Exit codes: 0 success, 1 malformed arguments, 2
-verification mismatch, 3 enumeration-limit refusal.
+verification mismatch, 3 refusal: the enumeration limit or a p >= psi_13.
 
 lambda is given as a comma-separated coefficient list in the canonical
 polynomial basis of F_{q^n} over F_q, least significant first ("2,0,1"

@@ -156,66 +156,77 @@ def term_invariants(t: FieldTower, n: int, a: int, i: int) -> Tuple[int, int, in
     return d, l, rank, sign, arg
 
 
-def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
-    t = spec.tower
-    n = t.n
-    X, Y = [], []
-    D1 = D2 = 0
-    L1 = A1 = A2 = 1
-    I = 0
-    for j, (a, i) in enumerate(spec.terms):
-        d, l = term_invariants(t, n, a, i)[:2]
+_PROFILES: dict = {}
+
+
+def _profile(t: FieldTower, terms) -> tuple:
+    """The one pass over the terms, kept in _PROFILES by (p, s, n, terms) in
+    spec order (the X and Y indices follow it): all that the count, the
+    classifiers, weil_bounds and hypersurface_invariants read and that does
+    not depend on lambda, as (l per term, R, unit, chi_arg, exact, WeilBounds,
+    HypersurfaceInvariants).  unit is the count's i-exponent before Tr(lambda)
+    enters, chi_arg the product of the terms' chi arguments, and exact says
+    i_j = d_j for every j in Y."""
+    key = (t.p, t.s, t.n, tuple(terms))
+    profile = _PROFILES.get(key)
+    if profile is not None:
+        return profile
+    q, n, p, s = t.q, t.n, t.p, t.s
+    ls, X, Y = [], [], []
+    R = I = D1 = D2 = unit = 0
+    chi_arg = L1 = A1 = A2 = 1
+    exact = True
+    for j, (a, i) in enumerate(terms):
+        d, l, rank, sign, arg = term_invariants(t, n, a, i)
+        ls.append(l)
+        R += rank
         I += i
-        if l % t.p:
+        if sign < 0:
+            unit += 2
+        chi_arg = t.bmul(chi_arg, arg)
+        if l % p:
             X.append(j)
             D1 += d
-            L1 = t.bmul(L1, t.bpow(t.base_from_int(l), d))
+            L1 = L1 * pow(l, d, p) % p  # an F_p element, so integer arithmetic
             A1 = t.bmul(A1, t.bpow(a, n - d))
         else:
             Y.append(j)
             D2 += d
             A2 = t.bmul(A2, t.bpow(a, n))
-    return HypersurfaceInvariants(tuple(X), tuple(Y), D1, D2, L1, A1, A2, t.bmul(A1, A2), I)
+            exact = exact and i == d
+    unit += 2 * (s + 1) * R + tau_power(p, s * R)
+    nr = n * len(ls)
+    center = q ** nr
+    square = (q - 1) ** 2 * q ** (nr + 2 * I)
+    dev = math.isqrt(square)
+    half = (s * nr) % 2 == 1
+    if (dev * dev == square) == half:
+        raise RuntimeError("half-integral flag disagrees with the Weil deviation")
+    profile = _PROFILES[key] = (
+        tuple(ls), R, unit, chi_arg, exact, WeilBounds(center - dev, center + dev, half),
+        HypersurfaceInvariants(tuple(X), tuple(Y), D1, D2, L1, A1, A2, t.bmul(A1, A2), I))
+    return profile
+
+
+def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
+    return _profile(spec.tower, spec.terms)[6]
 
 
 def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     """q^rn +/- (q-1) q^((nr+2I)/2); when the deviation is irrational (odd
     nr with p^s not a square, so s(nr+2I) odd) the floor is stored and the
     bounds are flagged half_integral (the floor is valid for integer counts)."""
-    lower, upper, half = _weil_bounds(spec.tower, len(spec.terms),
-                                      sum(i for _, i in spec.terms))
-    return WeilBounds(lower, upper, half)
-
-
-def _weil_bounds(t: FieldTower, r: int, I: int) -> Tuple[int, int, bool]:
-    q, nr = t.q, t.n * r
-    center = q ** nr
-    square = (q - 1) ** 2 * q ** (nr + 2 * I)
-    dev = math.isqrt(square)
-    half = (t.s * nr) % 2 == 1
-    if (dev * dev == square) == half:
-        raise RuntimeError("half-integral flag disagrees with the Weil deviation")
-    return center - dev, center + dev, half
+    return _profile(spec.tower, spec.terms)[5]
 
 
 def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
     """count_hypersurface for either kind of spec; classify is the
     module-level classifier of that kind, which must name the same end."""
     t = spec.tower
-    q, n, p, s = t.q, t.n, t.p, t.s
-    terms = spec.terms
+    q, p, s = t.q, t.p, t.s
+    ls, R, iexp, chi_arg, _, bounds, _ = _profile(t, spec.terms)
     trl = spec.trace_lambda
-    nr = n * len(terms)
-    R = I = iexp = 0
-    chi_arg = 1
-    for a, i in terms:
-        _, l, rank, sign, arg = term_invariants(t, n, a, i)
-        R += rank
-        I += i
-        if sign < 0:
-            iexp += 2
-        chi_arg = t.bmul(chi_arg, arg)
-    iexp += 2 * (s + 1) * R + tau_power(p, s * R)
+    nr = t.n * len(ls)
     if R % 2 and trl == 0:
         count = q ** nr
     else:
@@ -232,8 +243,8 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
         count = q ** nr + (1 if iexp % 4 == 0 else -1) * factor * q ** power
     branch = "odd" if R % 2 else "even"
     if isinstance(spec, CurveSpec):
-        branch = ("multiple-" if l % p == 0 else "coprime-") + branch
-    lower, upper, half = _weil_bounds(t, len(terms), I)
+        branch = ("multiple-" if ls[0] % p == 0 else "coprime-") + branch
+    lower, upper, half = bounds
     classification = ("Maximal" if count == upper else
                       "Minimal" if count == lower else "Neither")
     if classification != classify(spec):
@@ -277,45 +288,33 @@ def count_hypersurface(spec: HypersurfaceSpec) -> CountReport:
 _LABELS = {1: "Maximal", -1: "Minimal", None: "Neither"}
 
 
-def _attainment(spec: Union[CurveSpec, HypersurfaceSpec], bundle: bool) -> tuple:
+def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
     """The condition pass of both classifiers: (Tr(lambda) = 0, nr even, D1,
     D2, i_j = d_j for every j in Y, end); end is None, or (sR mod 4,
-    tauFactor, chiSign, sign) when a bound is attained.  Without bundle only
-    end is wanted, so a nonzero trace or an odd nr returns before the terms.
-    chiSign writes its prefactor (-1)^((n+1)|Y|) out instead of taking the
-    term signs, so the count's cross-check meets a second statement of it.
+    tauFactor, chiSign, sign) when a bound is attained.  tauFactor is stated
+    here, and chiSign writes its prefactor (-1)^((n+1)|Y|) out instead of
+    taking the term signs or the count's unit, so the count's cross-check
+    meets a second statement of the sign.
     """
     t = spec.tower
-    n, p, s = t.n, t.p, t.s
-    terms = spec.terms
+    n, s = t.n, t.s
+    ls, R, _, chi_arg, exact, _, inv = _profile(t, spec.terms)
+    r = len(ls)
     trace_zero = spec.trace_lambda == 0
-    nr = n * len(terms)
-    if not (bundle or trace_zero and nr % 2 == 0):
-        return trace_zero, nr % 2 == 0, None, None, None, None
-    D1 = D2 = R = 0
-    exact = True
-    chi_arg = 1
-    for a, i in terms:
-        d, l, rank, _, arg = term_invariants(t, n, a, i)
-        R += rank
-        chi_arg = t.bmul(chi_arg, arg)
-        if l % p:
-            D1 += d
-        else:
-            D2 += d
-            exact = exact and i == d
+    nr = n * r
+    D1, D2 = inv.D1, inv.D2
     if not trace_zero or D1 or nr % 2 or not exact:
         return trace_zero, nr % 2 == 0, D1, D2, exact, None
     if R != nr - 2 * D2 or R % 2:
         raise RuntimeError("rank sum is not the even nr - 2 D2")
     # D1 = 0, so every term lies in Y
-    tau_factor = 1 if (2 * (s + 1) * R + tau_power(p, s * R)) % 4 == 0 else -1
-    chi_sign = (-1) ** ((n + 1) * len(terms)) * t.quadratic_character(chi_arg)
+    tau_factor = 1 if (2 * (s + 1) * R + tau_power(t.p, s * R)) % 4 == 0 else -1
+    chi_sign = (-1) ** ((n + 1) * r) * t.quadratic_character(chi_arg)
     return True, True, 0, D2, True, ((s * R) % 4, tau_factor, chi_sign, tau_factor * chi_sign)
 
 
 def _label(spec: Union[CurveSpec, HypersurfaceSpec]) -> str:
-    end = _attainment(spec, False)[-1]
+    end = _attainment(spec)[-1]
     return _LABELS[end and end[3]]
 
 
@@ -326,7 +325,7 @@ def classify_curve_detail(spec: CurveSpec) -> Tuple[str, dict]:
     p | (n/i); the attained end is the hypersurface sign of the one term
     (1, i), which equals -chi((-1)^(n/2)): Maximal for +1 and Minimal for -1.
     """
-    trace_zero, n_even, D1, D2, _, end = _attainment(spec, True)
+    trace_zero, n_even, D1, D2, _, end = _attainment(spec)
     i, sign = spec.i, end and end[3]
     return _LABELS[sign], {"traceLambdaZero": trace_zero, "nEven": n_even,
                            "iDividesN": i == D1 + D2, "pDividesNOverI": i == D2,
@@ -350,7 +349,7 @@ def classify_hypersurface_detail(spec: HypersurfaceSpec) -> Tuple[str, dict]:
         chiSign = (-1)^((n+1)|Y|) chi(prod_j (-1)^(n-d_j) 2^(n-2d_j) a_j^(n-2d_j)),
     Maximal for +1 and Minimal for -1.
     """
-    trace_zero, nr_even, D1, D2, exact, end = _attainment(spec, True)
+    trace_zero, nr_even, D1, D2, exact, end = _attainment(spec)
     conditions = {"traceLambdaZero": trace_zero, "D1Zero": D1 == 0, "nrEven": nr_even,
                   "YExponentsEqualGcd": exact, "D2": D2}
     if end:

@@ -490,6 +490,8 @@ class FieldTower:
     def bpow(self, a: int, e: int) -> int:
         if e < 0:
             return self.bpow(self.binv(a), -e)
+        if self.s == 1:
+            return pow(a, e, self.p)
         r = a if e else 1
         for bit in bin(e)[3:]:
             r = self.bmul(r, r)
@@ -545,15 +547,15 @@ class FieldTower:
 
     def _frob_matrix(self, k: int):
         """Rows are the images of t^0, ..., t^(n-1) under x -> x^(q^k), 0 < k < n,
-        built on first use: k = 1 from powers of t^q, k >= 2 by applying k = 1."""
+        built on first use as the powers of r = t^(q^k): t^q from xpow, then
+        k - 1 applications of the k = 1 matrix."""
         if k not in self._frob_matrices:
-            if k == 1:
-                t_q = self.xpow(tuple(1 if j == 1 else 0 for j in range(self.n)), self.q)
-                rows = [self.one]
-                for _ in range(self.n - 1):
-                    rows.append(self.xmul(rows[-1], t_q))
-            else:
-                rows = [self._apply_frob_matrix(row, 1) for row in self._frob_matrix(k - 1)]
+            r = self.xpow(tuple(1 if j == 1 else 0 for j in range(self.n)), self.q)
+            for _ in range(k - 1):
+                r = self._apply_frob_matrix(r, 1)
+            rows = [self.one]
+            for _ in range(self.n - 1):
+                rows.append(self.xmul(rows[-1], r))
             self._frob_matrices[k] = rows
         return self._frob_matrices[k]
 

@@ -35,7 +35,7 @@ import math
 from collections import Counter
 from itertools import product
 from operator import mul
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -203,25 +203,19 @@ def _histogram_compute(tower: FieldTower, i: int, a: int, chunk_size: int) -> Va
 
 
 def qf_histogram(tower: FieldTower, i: int, a: int,
-                 limit: int = DEFAULT_LIMIT,
-                 chunk_size: Optional[int] = None) -> ValueHistogram:
+                 limit: int = DEFAULT_LIMIT) -> ValueHistogram:
     """Fiber sizes #{x in F_{q^n} : Tr(a x (x^(q^i) - x)) = c} for every c in F_q.
 
     An exact count over the F_p coordinates of x, not an element-by-element
-    scan; refuses when q^n > limit.  chunk_size (at least 1) bounds the tuples
-    one step of the count holds, and so its memory; passing it explicitly
-    bypasses the cache (used to test that the split does not matter).
+    scan; refuses when q^n > limit.  Cached by (p, s, n, i, a); the caller
+    gets a copy.
     """
     t = tower
     if not 0 < i < t.n:
         raise ValueError(f"need 0 < i < n, got i={i}, n={t.n}")
     if not 0 < a < t.q:
         raise ValueError(f"a={a} is not in F_q*")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size={chunk_size} is not positive")
     _check_limit(t.ext_card, limit)
-    if chunk_size is not None:
-        return _histogram_compute(t, i, a, chunk_size)
     key = (t.p, t.s, t.n, i, a)
     if key not in _HIST_CACHE:
         _HIST_CACHE[key] = _histogram_compute(t, i, a, _CHUNK)

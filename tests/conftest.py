@@ -10,11 +10,13 @@ from artinschreier.quadforms import fq_matrix_rank
 
 @pytest.fixture(autouse=True)
 def fresh_fiber_cache(monkeypatch):
-    """Every test starts with an empty oracle fiber cache, so whether an
-    oracle call is the first for its term multiset does not depend on which
-    tests ran before it.  The histogram cache is kept across tests."""
-    from artinschreier import oracle
+    """Every test starts with an empty oracle fiber cache and an empty
+    counting profile cache, so whether a call is the first for its terms does
+    not depend on which tests ran before it.  The histogram cache is kept
+    across tests."""
+    from artinschreier import counting, oracle
     monkeypatch.setattr(oracle, "_FIBER_CACHE", {})
+    monkeypatch.setattr(counting, "_PROFILES", {})
 
 
 # (p, s) pairs of the verification grid; towers are the n >= 2 extensions

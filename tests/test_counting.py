@@ -440,6 +440,42 @@ def test_trace_lambda_computed_once_per_spec(monkeypatch):
         assert repr(pickle.loads(pickle.dumps(spec))) == repr(fresh)
 
 
+def test_term_profile_built_once_per_terms(monkeypatch):
+    from artinschreier import counting
+
+    calls = []
+    real = counting.term_invariants
+
+    def counted(t, n, a, i):
+        calls.append((a, i))
+        return real(t, n, a, i)
+
+    monkeypatch.setattr(counting, "term_invariants", counted)
+    t = build_tower(3, 1, 6)
+    lam, other = t.zero, (0, 1, 0, 0, 0, 0)
+    terms = ((1, 1), (2, 3), (1, 1))  # a repeated term
+    runs = [(CurveSpec, 2, count_curve, classify_curve, classify_curve_detail),
+            (HypersurfaceSpec, terms, count_hypersurface, classify_hypersurface,
+             classify_hypersurface_detail)]
+    for cls, what, *steps in runs:
+        calls.clear()
+        spec = cls(t, what, lam)
+        for step in steps + [weil_bounds, hypersurface_invariants]:
+            step(spec)
+        assert len(calls) == len(spec.terms), cls.__name__
+        calls.clear()
+        for step in steps:
+            step(cls(t, what, other))
+        assert calls == [], cls.__name__
+    base = count_hypersurface(HypersurfaceSpec(t, terms, other)).closed_form
+    permuted = HypersurfaceSpec(t, ((2, 3), (1, 1), (1, 1)), other)
+    assert count_hypersurface(permuted).closed_form == base
+    # the X and Y indices follow the order of the terms
+    assert hypersurface_invariants(_hyper(3, 1, 6, terms))[:2] == ((1,), (0, 2))
+    assert hypersurface_invariants(permuted)[:2] == ((0,), (1, 2))
+    assert count_hypersurface(HypersurfaceSpec(t, list(terms), other)).closed_form == base
+
+
 # -------------------------------------------------------------- validation
 
 

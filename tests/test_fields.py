@@ -291,6 +291,12 @@ def test_frobenius_is_power_map():
         x = t.random_element(rng)
         assert t.frobenius(x, 1) == t.xpow(x, t.q)
         assert t.frobenius(x, 2) == t.xpow(x, t.q ** 2)
+    # n >= 4, where the k >= 2 matrices are no longer the identity
+    for p, s, n in [(3, 1, 5), (5, 1, 4), (3, 2, 4)]:
+        t = build_tower(p, s, n)
+        for x in [t.random_element(rng) for _ in range(5)]:
+            for k in range(1, n):
+                assert t.frobenius(x, k) == t.xpow(x, t.q ** k), (p, s, n, k)
 
 
 def test_frobenius_order_and_fixed_field():
