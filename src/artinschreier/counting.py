@@ -163,8 +163,8 @@ def _profile(t: FieldTower, terms) -> tuple:
     """The one pass over the terms, kept in _PROFILES by (p, s, n, terms) in
     spec order (the X and Y indices follow it): all that the count, the
     classifiers, weil_bounds and hypersurface_invariants read and that does
-    not depend on lambda, as (l per term, R, unit, chi_arg, exact, WeilBounds,
-    HypersurfaceInvariants).  unit is the count's i-exponent before Tr(lambda)
+    not depend on lambda, as ((a, i, d, l) per term, R, unit, chi_arg, exact,
+    D1, D2, WeilBounds).  unit is the count's i-exponent before Tr(lambda)
     enters, chi_arg the product of the terms' chi arguments, and exact says
     i_j = d_j for every j in Y."""
     key = (t.p, t.s, t.n, tuple(terms))
@@ -172,51 +172,61 @@ def _profile(t: FieldTower, terms) -> tuple:
     if profile is not None:
         return profile
     q, n, p, s = t.q, t.n, t.p, t.s
-    ls, X, Y = [], [], []
+    rows = []
     R = I = D1 = D2 = unit = 0
-    chi_arg = L1 = A1 = A2 = 1
+    chi_arg = 1
     exact = True
-    for j, (a, i) in enumerate(terms):
+    for a, i in terms:
         d, l, rank, sign, arg = term_invariants(t, n, a, i)
-        ls.append(l)
+        rows.append((a, i, d, l))
         R += rank
         I += i
         if sign < 0:
             unit += 2
         chi_arg = t.bmul(chi_arg, arg)
         if l % p:
-            X.append(j)
             D1 += d
-            L1 = L1 * pow(l, d, p) % p  # an F_p element, so integer arithmetic
-            A1 = t.bmul(A1, t.bpow(a, n - d))
         else:
-            Y.append(j)
             D2 += d
-            A2 = t.bmul(A2, t.bpow(a, n))
             exact = exact and i == d
     unit += 2 * (s + 1) * R + tau_power(p, s * R)
-    nr = n * len(ls)
+    nr = n * len(rows)
     center = q ** nr
     square = (q - 1) ** 2 * q ** (nr + 2 * I)
     dev = math.isqrt(square)
     half = (s * nr) % 2 == 1
     if (dev * dev == square) == half:
         raise RuntimeError("half-integral flag disagrees with the Weil deviation")
-    profile = _PROFILES[key] = (
-        tuple(ls), R, unit, chi_arg, exact, WeilBounds(center - dev, center + dev, half),
-        HypersurfaceInvariants(tuple(X), tuple(Y), D1, D2, L1, A1, A2, t.bmul(A1, A2), I))
+    profile = _PROFILES[key] = (tuple(rows), R, unit, chi_arg, exact, D1, D2,
+                                WeilBounds(center - dev, center + dev, half))
     return profile
 
 
 def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
-    return _profile(spec.tower, spec.terms)[6]
+    """Built on request from the profile's per-term rows: the count and the
+    classifiers need none of its F_q products, so the profile keeps none."""
+    t = spec.tower
+    n, p = t.n, t.p
+    rows, *_, D1, D2, _ = _profile(t, spec.terms)
+    X, Y = [], []
+    L1 = A1 = A2 = 1
+    for j, (a, _, d, l) in enumerate(rows):
+        if l % p:
+            X.append(j)
+            L1 = L1 * pow(l, d, p) % p  # an F_p element, so integer arithmetic
+            A1 = t.bmul(A1, t.bpow(a, n - d))
+        else:
+            Y.append(j)
+            A2 = t.bmul(A2, t.bpow(a, n))
+    return HypersurfaceInvariants(tuple(X), tuple(Y), D1, D2, L1, A1, A2, t.bmul(A1, A2),
+                                  sum(row[1] for row in rows))
 
 
 def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     """q^rn +/- (q-1) q^((nr+2I)/2); when the deviation is irrational (odd
     nr with p^s not a square, so s(nr+2I) odd) the floor is stored and the
     bounds are flagged half_integral (the floor is valid for integer counts)."""
-    return _profile(spec.tower, spec.terms)[5]
+    return _profile(spec.tower, spec.terms)[7]
 
 
 def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
@@ -224,9 +234,9 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
     module-level classifier of that kind, which must name the same end."""
     t = spec.tower
     q, p, s = t.q, t.p, t.s
-    ls, R, iexp, chi_arg, _, bounds, _ = _profile(t, spec.terms)
+    rows, R, iexp, chi_arg, _, _, _, bounds = _profile(t, spec.terms)
     trl = spec.trace_lambda
-    nr = t.n * len(ls)
+    nr = t.n * len(rows)
     if R % 2 and trl == 0:
         count = q ** nr
     else:
@@ -243,7 +253,7 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
         count = q ** nr + (1 if iexp % 4 == 0 else -1) * factor * q ** power
     branch = "odd" if R % 2 else "even"
     if isinstance(spec, CurveSpec):
-        branch = ("multiple-" if ls[0] % p == 0 else "coprime-") + branch
+        branch = ("multiple-" if rows[0][3] % p == 0 else "coprime-") + branch
     lower, upper, half = bounds
     classification = ("Maximal" if count == upper else
                       "Minimal" if count == lower else "Neither")
@@ -298,11 +308,10 @@ def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
     """
     t = spec.tower
     n, s = t.n, t.s
-    ls, R, _, chi_arg, exact, _, inv = _profile(t, spec.terms)
-    r = len(ls)
+    rows, R, _, chi_arg, exact, D1, D2, _ = _profile(t, spec.terms)
+    r = len(rows)
     trace_zero = spec.trace_lambda == 0
     nr = n * r
-    D1, D2 = inv.D1, inv.D2
     if not trace_zero or D1 or nr % 2 or not exact:
         return trace_zero, nr % 2 == 0, D1, D2, exact, None
     if R != nr - 2 * D2 or R % 2:

@@ -165,13 +165,6 @@ def tau_power(p: int, e: int) -> FourthRootUnit:
     return e % 4
 
 
-def _fp_scale_add(p: int, acc: list, off: int, c: int, row: Sequence) -> None:
-    """acc[off + k] += c * row[k] in F_p, for every k."""
-    for k, m in enumerate(row, off):
-        if m:
-            acc[k] = (acc[k] + c * m) % p
-
-
 def _digitwise_table(p: int, s: int, op) -> list:
     """Flat q*q table, q = p^s, whose entry a*q + b is op(x, y) mod p taken
     digit by digit on the base-p digits of a and b.
@@ -190,18 +183,20 @@ def _digitwise_table(p: int, s: int, op) -> list:
 
 
 class _PolyOps:
-    """Polynomial arithmetic over F_card, card = p^s, for the modulus search.
+    """The ring F_card[x], card = q, of one tower: its F_{q^n} products and
+    modulus search, and on the tower (p, 1, s) the F_q products.
 
     Polynomials are lists of field codes (0, 1 and p - 1 are zero, one and
-    minus one), index = degree.  The field enters through mul, inv, frob
-    (a -> a^p; None on F_p, where it is the identity) and
-    scale_add(acc, off, c, row), which adds c * row[k] to acc[off + k] for
-    every k, so per-coefficient work stays in its loop.
+    minus one), index = degree.  The field enters through the tower's bound
+    methods (no lambda, so the tower still pickles) bmul, binv, _bfrob
+    (a -> a^p; None on F_p) and _bscale_add(acc, off, c, row), which adds
+    c * row[k] to acc[off + k] for every k.
     """
 
-    def __init__(self, p: int, s: int, mul, inv, scale_add, frob):
-        self.p, self.s, self.card, self.minus_one = p, s, p ** s, p - 1
-        self.mul, self.inv, self.scale_add, self.frob = mul, inv, scale_add, frob
+    def __init__(self, t: "FieldTower"):
+        self.p, self.s, self.card, self.minus_one = t.p, t.s, t.q, t.p - 1
+        self.mul, self.inv, self.scale_add = t.bmul, t.binv, t._bscale_add
+        self.frob = t._bfrob if t.s > 1 else None
 
     @staticmethod
     def trim(f: list) -> list:
@@ -209,7 +204,7 @@ class _PolyOps:
             f.pop()
         return f
 
-    def mul_mod(self, f: list, g: list, mod: list) -> list:
+    def mul_mod(self, f: Sequence, g: Sequence, mod: Sequence) -> list:
         res = [0] * (len(f) + len(g) - 1) if f and g else []
         for a, fa in enumerate(f):
             if fa:
@@ -314,20 +309,18 @@ class _PolyOps:
                     break
 
 
-def _fp_ops(p: int) -> _PolyOps:
-    """_PolyOps over F_p, with the mod-p operations passed in directly."""
-    return _PolyOps(p, 1, lambda a, b: a * b % p, lambda a: pow(a, p - 2, p),
-                    functools.partial(_fp_scale_add, p), None)
-
-
 class FieldTower:
     """The chain F_p < F_q = F_{p^s} < F_{q^n}; all arithmetic lives here.
 
     Construct via build_tower().  Construction validates p, s and n and
-    builds F_q; the extension modulus, the monomial traces and the Frobenius
-    tables are filled in on first use and never change after that.  Filling
-    them is idempotent (a racing second fill computes the same values and
-    assigns each attribute whole), so concurrent reads stay safe.
+    builds F_q as the prime tower _prime = (p, 1, s) (s > 1): base_modulus
+    is its extension modulus, and its trace and ring give Tr_{F_q/F_p} and
+    the product.  Each tower's ring _ring over F_q searches the extension
+    modulus and makes every F_{q^n} product.  The extension modulus, the
+    monomial traces and the Frobenius tables are filled in on first use and
+    never change after that.  Filling them is idempotent (a racing second
+    fill computes the same values and assigns each attribute whole), so
+    concurrent reads stay safe.
     """
 
     def __init__(self, p: int, s: int, n: int):
@@ -343,10 +336,11 @@ class FieldTower:
         self.q = p ** s
         self.ext_card = self.q ** n
 
-        self.base_modulus = tuple(_fp_ops(p).least_irreducible(s))
+        self._prime = build_tower(p, 1, s) if s > 1 else None
+        # (0, 1) is the degree-1 placeholder of F_p itself
+        self.base_modulus = self._prime.ext_modulus if s > 1 else (0, 1)
         self._init_base_tables()
-        # absolute traces of the F_q basis monomials u^j, in F_p
-        self._btr_mono = self._power_sums(self.base_modulus, s)
+        self._ring = _PolyOps(self)
         self.zero = tuple([0] * n)
         self.one = tuple([1] + [0] * (n - 1))
         self._frob_matrices = {}  # x -> x^(q^k) by k, filled by _frob_matrix
@@ -365,17 +359,8 @@ class FieldTower:
     def _extension(self) -> tuple:
         """Search the extension modulus, derive Tr(t^k) for 0 <= k <= 2n - 2
         from it, and return it."""
-        p, n = self.p, self.n
-        if self.s == 1:
-            fq = _fp_ops(p)
-        else:
-            # a -> a^p on F_q, one table lookup when the log tables exist
-            exp, log, qm1 = self._exp, self._log, self.q - 1
-            frob = ((lambda a: exp[log[a] * p % qm1] if a else 0) if exp
-                    else (lambda a: self.bpow(a, p)))
-            fq = _PolyOps(p, self.s, self.bmul, self.binv, self._bscale_add, frob)
-        modulus = tuple(fq.least_irreducible(n))
-        self._tr_mono = self._power_sums(modulus, 2 * n - 1)
+        modulus = tuple(self._ring.least_irreducible(self.n))
+        self._tr_mono = self._power_sums(modulus, 2 * self.n - 1)
         self._ext_modulus = modulus
         return modulus
 
@@ -403,23 +388,9 @@ class FieldTower:
         self._exp, self._log = exp, log
 
     def _bmul_generic(self, a: int, b: int) -> int:
-        """Polynomial multiplication of digit vectors mod base_modulus."""
-        p, s = self.p, self.s
-        da = self.base_digits(a)
-        db = self.base_digits(b)
-        res = [0] * (2 * s - 1)
-        for k, ak in enumerate(da):
-            if ak:
-                for m, bm in enumerate(db):
-                    res[k + m] = (res[k + m] + ak * bm) % p
-        mod = self.base_modulus
-        for top in range(2 * s - 2, s - 1, -1):
-            c = res[top]
-            if c:
-                res[top] = 0
-                for m in range(s):
-                    res[top - s + m] = (res[top - s + m] - c * mod[m]) % p
-        return self.base_from_digits(res[:s])
+        """a b as the product of digit vectors mod base_modulus, s > 1."""
+        return self.base_from_digits(self._prime._ring.mul_mod(
+            self.base_digits(a), self.base_digits(b), self.base_modulus))
 
     def base_digits(self, a: int) -> list:
         return [a // self.p ** k % self.p for k in range(self.s)]
@@ -466,7 +437,13 @@ class FieldTower:
         return self._bmul_generic(a, b)
 
     def _bscale_add(self, acc: list, off: int, c: int, row: Sequence) -> None:
-        """acc[off + k] += c * row[k] in F_q, s > 1, for every k; c is nonzero."""
+        """acc[off + k] += c * row[k] in F_q for every k; c is nonzero."""
+        if self.s == 1:
+            p = self.p
+            for k, m in enumerate(row, off):
+                if m:
+                    acc[k] = (acc[k] + c * m) % p
+            return
         if self._add is not None:
             add, exp, log, q, qm1 = self._add, self._exp, self._log, self.q, self.q - 1
             lc = log[c]
@@ -477,6 +454,12 @@ class FieldTower:
         for k, m in enumerate(row, off):
             if m:
                 acc[k] = self.badd(acc[k], self.bmul(c, m))
+
+    def _bfrob(self, a: int) -> int:
+        """a^p, s > 1: one table lookup when the log tables exist."""
+        if self._exp is None:
+            return self.bpow(a, self.p)
+        return self._exp[self._log[a] * self.p % (self.q - 1)] if a else 0
 
     def binv(self, a: int) -> int:
         if a == 0:
@@ -513,9 +496,9 @@ class FieldTower:
         return 1 if r == 1 else -1
 
     def base_trace_to_prime(self, a: int) -> int:
-        """Absolute trace Tr_{F_q/F_p}(a) as an int in [0, p)."""
-        digits = self.base_digits(a)
-        return sum(d * t for d, t in zip(digits, self._btr_mono)) % self.p
+        """Absolute trace Tr_{F_q/F_p}(a) as an int in [0, p): the trace of
+        the prime tower (p, 1, s) on the digits of a."""
+        return self._prime.trace(self.base_digits(a)) if self.s > 1 else a
 
     # ----- F_{q^n} arithmetic on coefficient tuples -----
 
@@ -552,22 +535,12 @@ class FieldTower:
         if k not in self._frob_matrices:
             r = self.xpow(tuple(1 if j == 1 else 0 for j in range(self.n)), self.q)
             for _ in range(k - 1):
-                r = self._apply_frob_matrix(r, 1)
+                r = self.frobenius(r, 1)
             rows = [self.one]
             for _ in range(self.n - 1):
                 rows.append(self.xmul(rows[-1], r))
             self._frob_matrices[k] = rows
         return self._frob_matrices[k]
-
-    def _apply_frob_matrix(self, x: ExtElement, k: int) -> ExtElement:
-        mat = self._frob_matrices[k] if k in self._frob_matrices else self._frob_matrix(k)
-        out = [0] * self.n
-        for c, row in zip(x, mat):
-            if c:
-                for j, m in enumerate(row):
-                    if m:
-                        out[j] = self.badd(out[j], self.bmul(c, m))
-        return tuple(out)
 
     def xadd(self, x: ExtElement, y: ExtElement) -> ExtElement:
         return tuple(self.badd(a, b) for a, b in zip(x, y))
@@ -579,23 +552,8 @@ class FieldTower:
         return tuple(self.bneg(a) for a in x)
 
     def xmul(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        n = self.n
-        if n == 1:
-            return (self.bmul(x[0], y[0]),)
-        res = [0] * (2 * n - 1)
-        for k, xk in enumerate(x):
-            if xk:
-                for m, ym in enumerate(y):
-                    if ym:
-                        res[k + m] = self.badd(res[k + m], self.bmul(xk, ym))
-        mod = self._ext_modulus or self._extension()
-        for top in range(2 * n - 2, n - 1, -1):
-            c = res[top]
-            if c:
-                res[top] = 0
-                for m in range(n):
-                    res[top - n + m] = self.bsub(res[top - n + m], self.bmul(c, mod[m]))
-        return tuple(res[:n])
+        res = self._ring.mul_mod(x, y, self._ext_modulus or self._extension())
+        return tuple(res + [0] * (self.n - len(res)))
 
     def xscale(self, a: int, x: ExtElement) -> ExtElement:
         return tuple(self.bmul(a, c) for c in x)
@@ -620,9 +578,17 @@ class FieldTower:
         return tuple([a] + [0] * (self.n - 1))
 
     def frobenius(self, x: ExtElement, k: int = 1) -> ExtElement:
-        """x^(q^k); k is reduced mod n."""
+        """x^(q^k); k is reduced mod n.  The image is sum_j x_j row_j over
+        the rows of _frob_matrix(k)."""
         k %= self.n
-        return self._apply_frob_matrix(x, k) if k else x
+        if not k:
+            return x
+        mat = self._frob_matrices[k] if k in self._frob_matrices else self._frob_matrix(k)
+        out = [0] * self.n
+        for c, row in zip(x, mat):
+            if c:
+                self._bscale_add(out, 0, c, row)
+        return tuple(out)
 
     def trace(self, x: ExtElement) -> int:
         """Tr(x) = x + x^q + ... + x^(q^(n-1)), as a base element.  Tr(x) is

@@ -214,6 +214,17 @@ def test_base_mul_group_structure():
         assert t.bmul(a, t.binv(a)) == 1
         assert t.bpow(a, t.q - 1) == 1
     assert t.bmul(0, 5) == 0
+    # q = 3^7 has no add tables, and q = 3^13 > 2^20 no log tables either, so
+    # there the product is the prime tower's polynomial product
+    rng = random.Random(17)
+    for s in (7, 13):
+        t = build_tower(3, s, 2)
+        for _ in range(12):
+            a, b, c = (rng.randrange(1, t.q) for _ in range(3))
+            assert t.bmul(a, t.binv(a)) == 1
+            assert t.bpow(a, t.q - 1) == 1
+            assert t.bmul(a, b) == t.bmul(b, a)
+            assert t.bmul(a, t.badd(b, c)) == t.badd(t.bmul(a, b), t.bmul(a, c))
 
 
 def test_base_from_int():
@@ -235,16 +246,33 @@ def test_extension_enumeration_roundtrip():
         assert t.ext_from_int(k) == x
 
 
+def _xmul_schoolbook(t, x, y):
+    """x y in F_{q^n}: every coefficient product, then the top coefficients
+    removed one at a time with the extension modulus, by F_q method calls."""
+    n, mod = t.n, t.ext_modulus
+    res = [0] * (2 * n - 1)
+    for k, xk in enumerate(x):
+        for m, ym in enumerate(y):
+            res[k + m] = t.badd(res[k + m], t.bmul(xk, ym))
+    for top in range(2 * n - 2, n - 1, -1):
+        c = res[top]
+        for m in range(n + 1):
+            res[top - n + m] = t.bsub(res[top - n + m], t.bmul(c, mod[m]))
+    return tuple(res[:n])
+
+
 def test_extension_field_axioms_sampled():
-    t = build_tower(3, 2, 2)
     rng = random.Random(7)
-    for _ in range(40):
-        x, y, z = (t.random_element(rng) for _ in range(3))
-        assert t.xmul(x, t.xadd(y, z)) == t.xadd(t.xmul(x, y), t.xmul(x, z))
-        assert t.xmul(x, y) == t.xmul(y, x)
-        assert t.xadd(x, t.xneg(x)) == t.zero
-        if x != t.zero:
-            assert t.xmul(x, t.xinv(x)) == t.one
+    for psn, samples in [((3, 2, 2), 40), ((3, 1, 8), 10), ((5, 2, 6), 10), ((3, 1, 30), 5)]:
+        t = build_tower(*psn)
+        for _ in range(samples):
+            x, y, z = (t.random_element(rng) for _ in range(3))
+            assert t.xmul(x, y) == _xmul_schoolbook(t, x, y), psn
+            assert t.xmul(x, t.xadd(y, z)) == t.xadd(t.xmul(x, y), t.xmul(x, z))
+            assert t.xmul(x, y) == t.xmul(y, x)
+            assert t.xadd(x, t.xneg(x)) == t.zero
+            if x != t.zero:
+                assert t.xmul(x, t.xinv(x)) == t.one
 
 
 def test_powers_use_no_extra_products():
@@ -377,16 +405,21 @@ def test_trace_linear_and_fibers():
 
 
 def test_abs_trace_matches_power_sum():
-    t = build_tower(3, 2, 2)
-    for x in t.elements():
-        # absolute trace: sum of p-power conjugates down to F_p
-        acc = x
-        val = x
-        for _ in range(t.s * t.n - 1):
-            val = t.xpow(val, t.p)
-            acc = t.xadd(acc, val)
-        assert all(c == 0 for c in acc[1:])
-        assert t.abs_trace(x) == t.base_digits(acc[0])[0] % t.p
+    # every element of F_81, and samples of F_{3^7} and F_{3^13}, whose
+    # traces to F_p come from the prime towers (3, 1, 7) and (3, 1, 13)
+    rng = random.Random(19)
+    for psn in [(3, 2, 2), (3, 7, 1), (3, 13, 1)]:
+        t = build_tower(*psn)
+        xs = t.elements() if t.ext_card < 100 else [t.random_element(rng) for _ in range(12)]
+        for x in xs:
+            # absolute trace: sum of p-power conjugates down to F_p
+            acc = x
+            val = x
+            for _ in range(t.s * t.n - 1):
+                val = t.xpow(val, t.p)
+                acc = t.xadd(acc, val)
+            assert all(c == 0 for c in acc[1:])
+            assert t.abs_trace(x) == t.base_digits(acc[0])[0] % t.p, psn
 
 
 # -------------------------------------------------------------- character
