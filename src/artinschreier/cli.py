@@ -28,7 +28,7 @@ from .counting import (CountReport, CurveSpec, HypersurfaceSpec,
                        classify_curve_detail, classify_hypersurface_detail,
                        count_curve, count_hypersurface)
 from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower, PrimalityLimitError,
-                     build_tower)
+                     build_tower, check_power_limit)
 
 SCHEMA_VERSION = 1
 
@@ -200,9 +200,7 @@ def _sweep_lambdas(policy: str, tower: FieldTower, rng: random.Random) -> list:
 def _cmd_sweep(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise _UsageError("need 2 <= n-min <= n-max")
-    worst = args.p ** (args.s * args.n_max)
-    if worst > args.limit:
-        raise EnumerationLimitError(worst, args.limit)
+    check_power_limit(args.p, args.s * args.n_max, args.limit)
     rng = random.Random(args.seed)
     rows = []
     for n in range(args.n_min, args.n_max + 1):

@@ -94,13 +94,27 @@ class Record(tuple):
 
 
 class EnumerationLimitError(RuntimeError):
-    """Raised instead of starting an enumeration that exceeds the limit."""
+    """Raised instead of starting an enumeration that exceeds the limit.
 
-    def __init__(self, requested: int, limit: int):
+    requested is the size asked for, or the text "p^e" of a power refused by
+    its exponent alone; a size of more than 100 bits is stated by its order."""
+
+    def __init__(self, requested: int | str, limit: int):
         self.requested = requested
         self.limit = limit
-        super().__init__(
-            f"enumeration of {requested} elements exceeds the limit {limit}")
+        size = requested
+        if isinstance(requested, int) and requested.bit_length() > 100:
+            size = f"at least 2^{requested.bit_length() - 1}"
+        super().__init__(f"enumeration of {size} elements exceeds the limit {limit}")
+
+
+def check_power_limit(base: int, exponent: int, limit: int) -> None:
+    """Refuse an enumeration of base^exponent > limit elements.  For base >= 2,
+    an exponent above limit.bit_length() is refused without forming the power."""
+    if base > 1 and exponent > limit.bit_length():
+        raise EnumerationLimitError(f"{base}^{exponent}", limit)
+    if base ** exponent > limit:
+        raise EnumerationLimitError(base ** exponent, limit)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13

@@ -11,21 +11,10 @@ the histograms are cached per (tower, i, a), and the convolution with the
 fibers read from it per (tower, term multiset).
 
 The trace-form histogram works on the F_p coordinates X of x: each base-p
-digit of Tr(a x (x^(q^i) - x)) is Q_c(X) = X G_c X^T mod p for an integer
-matrix G_c, built from the trace pairing Tr(a e_j e_l) and the F_p matrix of
-the Frobenius.  Consuming coordinate m with digit d changes it by
-
-    Q_c(X + d e_m) = Q_c(X) + d lin_m(X) + d^2 G_c[m, m],
-
-where lin_k(X) = (X (G_c + G_c^T))_k is linear and follows the same kind of
-step.  The count therefore runs one coordinate at a time over the multiset of
-tuples (Q_c(X), lin_k(X) for the coordinates still to come), merging equal
-tuples and adding their counts; after the last coordinate the tuples are the
-values and the counts are the histogram.  No element is visited one by one,
-and no rank, character or closed form enters.  chunk_size bounds the entries
-one step may hold: the top coordinates are fixed one assignment at a time,
-as many as that static bound needs, so memory is bounded by the chunk, not by
-q^n, and any chunk size gives the same histogram.
+digit of Tr(a x (x^(q^i) - x)) is a quadratic form X G_c X^T mod p
+(_digit_matrices), whose joint fibers _fiber_counts counts one coordinate at
+a time.  No element is visited one by one, no rank, character or closed form
+enters, and no step holds more than max(chunk_size, p) tuples, whatever q^n.
 """
 
 from __future__ import annotations
@@ -39,7 +28,8 @@ from typing import Dict
 
 import numpy as np
 
-from .fields import DEFAULT_LIMIT, EnumerationLimitError, FieldTower, build_tower
+from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower, build_tower,
+                     check_power_limit)
 from .counting import CurveSpec, HypersurfaceSpec
 
 ValueHistogram = Dict[int, int]
@@ -124,56 +114,47 @@ def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
     return np.stack([(pairing // p ** c % p) @ diff.T % p for c in range(s)])
 
 
-def _state_exponent(s: int, low: int) -> int:
-    """log_p of the static bound on the entries one step of the count over
-    `low` coordinates holds: after m steps there are at most
-    min(p^m, p^(s (low - m + 1))) distinct tuples, and a step multiplies by p."""
-    if low == 0:
-        return 0
-    return 1 + max(min(m, s * (low - m + 1)) for m in range(low))
-
-
 def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
     """counts[v] = #{X in F_p^N : sum_c Q_c(X) p^c = v}, Q_c(X) = X G[c] X^T
     mod p, for the s digit matrices G of shape (s, N, N).
 
-    The low coordinates are consumed one at a time; the state is a multiset
-    of digit tuples (val_c, lin_(c,k)) for the consumed part X, with
-    val_c = Q_c(X) and lin_(c,k) = (X S_c)_k for the unconsumed low k,
-    S_c = G_c + G_c^T.  Coordinate m with digit d maps a tuple to
-    val_c + d lin_(c,m) + d^2 G_c[m, m] and lin_(c,k) + d S_c[m, k], k > m,
-    and drops lin_(c,m); equal tuples merge and their counts add.  Each
-    assignment y of the top coordinates seeds the count with the single
-    tuple (Q_c(y), (y S_c)_k); their number is chosen so that no step holds
-    more than chunk_size entries (the static bound of _state_exponent)."""
+    The coordinates are consumed one at a time from the one all-zero tuple;
+    the state is a multiset of digit tuples (val_c, lin_(c,k)) for the
+    consumed part X, with val_c = Q_c(X) and lin_(c,k) = (X S_c)_k for the
+    unconsumed k, S_c = G_c + G_c^T.  Coordinate m with digit d maps a tuple
+    to val_c + d lin_(c,m) + d^2 G_c[m, m] and lin_(c,k) + d S_c[m, k],
+    k > m, and drops lin_(c,m); equal tuples merge and their counts add.  A
+    state whose next step would hold more than chunk_size entries is split
+    into two column halves, counted one after the other, so no step holds
+    more than max(chunk_size, p)."""
     s, N = G.shape[0], G.shape[1]
     S = (G + G.transpose(0, 2, 1)) % p
-    low = N
-    while low and p ** _state_exponent(s, low) > chunk_size:
-        low -= 1
     dtype = np.min_scalar_type(p * p)  # every unreduced sum below is < p^2
     digits = np.arange(p, dtype=np.int64)
     # squares[c, d] = d^2 G_c[m, m]; shifts[(k - m - 1) s + c, d] = d S_c[m, k]
     steps = [((digits ** 2 * G[:, m, m, None] % p).astype(dtype),
-              (S[:, m, m + 1:low].T.reshape(-1, 1) * digits % p).astype(dtype))
-             for m in range(low)]
+              (S[:, m, m + 1:].T.reshape(-1, 1) * digits % p).astype(dtype))
+             for m in range(N)]
     d = digits.astype(dtype)[:, None]
     # tuples are merged through int64 words of up to `width` base-p digits
     width = 1
     while p ** (width + 1) < 1 << 63:
         width += 1
     weights = p ** np.arange(width, dtype=np.int64)
-    G_top, S_cross = G[:, low:, low:], S[:, low:, :low]
     hist = np.zeros(p ** s, dtype=np.int64)
-    for top in product(range(p), repeat=N - low):
-        y = np.array(top, dtype=np.int64)
-        val = np.einsum("j,cjk,k->c", y, G_top, y) % p
-        lin = (y @ S_cross % p).T.reshape(-1)
-        # rows: val_c, then lin_(c,k) at s + (k - m) s + c; one column per tuple
-        state = np.concatenate([val, lin]).astype(dtype)[:, None]
-        counts = np.ones(1, dtype=np.int64)
-        for squares, shifts in steps:
-            tuples = state.shape[1]
+    # rows: val_c, then lin_(c,k) at s + (k - m) s + c; one column per tuple
+    stack = [(0, np.zeros(((N + 1) * s, 1), dtype=dtype), np.ones(1, dtype=np.int64))]
+    while stack:
+        m, state, counts = stack.pop()
+        tuples = state.shape[1]
+        if m == N:
+            # the values of distinct tuples are distinct
+            hist[weights[:s] @ state] += counts
+        elif p * tuples > chunk_size and tuples > 1:
+            half = tuples // 2
+            stack += [(m, state[:, half:], counts[half:]), (m, state[:, :half], counts[:half])]
+        else:
+            squares, shifts = steps[m]
             # column d * tuples + r is tuple r after digit d
             state = np.concatenate([
                 (state[:s, None] + d * state[s:2 * s, None] + squares[:, :, None]) % p,
@@ -188,10 +169,8 @@ def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
                 word = word[order]
                 first[1:] |= word[1:] != word[:-1]
             starts = np.flatnonzero(first)
-            counts = np.add.reduceat(counts[order % tuples], starts)
-            state = state[:, order[starts]]
-        # the values of distinct tuples are distinct
-        hist[weights[:s] @ state] += counts
+            stack.append((m + 1, state[:, order[starts]],
+                          np.add.reduceat(counts[order % tuples], starts)))
     if int(hist.sum()) != p ** N:
         raise RuntimeError(f"fiber counts sum to {int(hist.sum())}, not p^{N}")
     return hist
@@ -321,7 +300,7 @@ def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMI
 
 def gauss_sum_numeric(p: int, s: int) -> complex:
     """Sum of chi(x) e^(2 pi i TrAbs(x)/p) over x in F_q*, q = p^s <= 10^6."""
-    _check_limit(p ** s, 1_000_000)
+    check_power_limit(p, s, 1_000_000)
     t = build_tower(p, s, 1)
     total = 0j
     for x in range(1, t.q):

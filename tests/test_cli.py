@@ -158,6 +158,10 @@ def test_verify_limit_exit_3(capsys):
     code, _, err = _run(capsys, ["verify", "--p", "3", "--n", "6", "--i", "1",
                                  "--limit", "10"])
     assert code == 3 and "refused:" in err
+    # 3^10000 has 4772 digits, past the int-to-str conversion limit
+    code, _, err = _run(capsys, ["verify", "--p", "3", "--n", "10000", "--i", "1"])
+    assert code == 3
+    assert err == "refused: enumeration of at least 2^15849 elements exceeds the limit 10000000\n"
 
 
 def test_huge_p_answered_or_refused_fast(capsys):
@@ -335,6 +339,9 @@ def test_sweep_upfront_limit_exit_3(capsys):
     assert code == 3
     assert "refused:" in err
     assert out == ""  # refusal happens before any row is emitted
+    # 3^(n-max) is never formed: these refuse as fast as the small one
+    for n_max in ("10000000", "30000000", "100000000"):
+        _assert_refused_fast(["sweep", "--p", "3", "--n-max", n_max])
 
 
 # ------------------------------------------------------------- gauss-check
@@ -361,21 +368,32 @@ def _capped_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_gauss_check_refuses_huge_field_fast():
-    # q = 3^20: the refusal comes before any tower is built, and the modulus
-    # search never lists F_q, so 1 GiB of address space is plenty
+def _cli_env():
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _assert_refused_fast(argv):
+    """A fresh CLI process with 1 GiB of address space refuses argv (exit 3)
+    within 1 s and prints nothing on stdout."""
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "artinschreier.cli", "gauss-check",
-         "--p-list", "3", "--s-list", "20"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "artinschreier.cli", *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
         preexec_fn=_capped_address_space)
     elapsed = time.monotonic() - start
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("refused:") and proc.stdout == ""
-    assert elapsed < 1.0
+    assert proc.returncode == 3, (argv, proc.stderr)
+    assert proc.stderr.startswith("refused:") and proc.stdout == "", argv
+    assert elapsed < 1.0, (argv, elapsed)
+
+
+def test_gauss_check_refuses_huge_field_fast():
+    # q = 3^20: the refusal comes before any tower is built, and the modulus
+    # search never lists F_q, so 1 GiB of address space is plenty; 3^s is
+    # never formed for the larger s
+    for s in ("20", "20000", "10000000"):
+        _assert_refused_fast(["gauss-check", "--p-list", "3", "--s-list", s])
+    env = _cli_env()
     proc = subprocess.run(
         [sys.executable, "-c", "from artinschreier.fields import build_tower; "
                                "print(build_tower(3, 20, 1).ext_modulus)"],

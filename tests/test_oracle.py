@@ -68,12 +68,41 @@ def test_qf_histogram_chunking_invariant():
         t = build_tower(p, s, n)
         total = t.q ** n
         want = _reference_histogram(t, i, a)
-        # the split between low and top coordinates falls at every coordinate
+        # the state is split at every size it can reach
         chunks = {1, p - 1, p, total, total + 1}
         for k in range(1, n * s + 1):
             chunks |= {p ** k - 1, p ** k + 1}
         for chunk in sorted(chunks):
             assert oracle._histogram_compute(t, i, a, chunk) == want, (p, s, n, chunk)
+    # 3^10 elements, too many for the per-element reference: the unsplit count
+    # (at most 3^5 tuples per state) against counts that split it
+    t = build_tower(3, 5, 2)
+    for a in (1, 100):
+        want = oracle._histogram_compute(t, 1, a, oracle._CHUNK)
+        for chunk in (3, 10, 28, 100, 242):
+            assert oracle._histogram_compute(t, 1, a, chunk) == want, (a, chunk)
+
+
+def test_qf_histogram_merges_and_bounds_each_step(monkeypatch):
+    # one merge per coordinate when no state is split, and no merge holds
+    # more than max(chunk_size, p) entries when states are split
+    from artinschreier import oracle
+
+    sizes = []
+    real_lexsort = oracle.np.lexsort
+
+    def lexsort(keys):
+        sizes.append(len(keys[0]))
+        return real_lexsort(keys)
+
+    monkeypatch.setattr(oracle.np, "lexsort", lexsort)
+    t = build_tower(3, 7, 2)
+    want = oracle._histogram_compute(t, 1, 1, oracle._CHUNK)
+    assert len(sizes) == 2 * 7 and max(sizes) <= oracle._CHUNK
+    for chunk in (1, 5, 100, 1000):
+        sizes.clear()
+        assert oracle._histogram_compute(t, 1, 1, chunk) == want, chunk
+        assert max(sizes) <= max(chunk, 3), chunk
 
 
 def test_qf_histogram_matches_reference_wide_digits():
@@ -143,6 +172,7 @@ def test_enumeration_limit_error():
     assert exc.value.requested == 81
     assert exc.value.limit == 10
     assert isinstance(exc.value, RuntimeError)
+    assert str(exc.value) == "enumeration of 81 elements exceeds the limit 10"
 
 
 # ------------------------------------------------------------ curve oracle
@@ -424,8 +454,13 @@ def test_gauss_sum_modulus_and_reference():
 
 
 def test_gauss_sum_refuses_oversize():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError) as exc:
         gauss_sum_numeric(3, 13)  # q = 3^13 > 10^6
+    assert exc.value.requested == 3 ** 13
+    with pytest.raises(EnumerationLimitError) as exc:
+        gauss_sum_numeric(3, 10 ** 9)  # refused by the exponent: 3^s is never formed
+    assert exc.value.requested == "3^1000000000"
+    assert str(exc.value) == "enumeration of 3^1000000000 elements exceeds the limit 1000000"
 
 
 # --------------------------------------------------------------- char sums
