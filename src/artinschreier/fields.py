@@ -96,8 +96,9 @@ class Record(tuple):
 class EnumerationLimitError(RuntimeError):
     """Raised instead of starting an enumeration that exceeds the limit.
 
-    requested is the size asked for, or the text "p^e" of a power refused by
-    its exponent alone; a size of more than 100 bits is stated by its order."""
+    requested is the size asked for, or the text "p^e" of a power over 2^100
+    refused without being formed; a size of more than 100 bits is stated by
+    its order."""
 
     def __init__(self, requested: int | str, limit: int):
         self.requested = requested
@@ -109,12 +110,15 @@ class EnumerationLimitError(RuntimeError):
 
 
 def check_power_limit(base: int, exponent: int, limit: int) -> None:
-    """Refuse an enumeration of base^exponent > limit elements.  For base >= 2,
-    an exponent above limit.bit_length() is refused without forming the power."""
-    if base > 1 and exponent > limit.bit_length():
+    """Refuse an enumeration of base^exponent > limit elements.  A power known
+    to exceed both 2^100 and the limit from exponent * (bits of base - 1) alone
+    is refused as the text "base^exponent" without being formed."""
+    floor_bits = exponent * (base.bit_length() - 1)  # base^exponent >= 2^floor_bits
+    if floor_bits > max(100, limit.bit_length()):
         raise EnumerationLimitError(f"{base}^{exponent}", limit)
-    if base ** exponent > limit:
-        raise EnumerationLimitError(base ** exponent, limit)
+    power = base ** exponent
+    if power > limit:
+        raise EnumerationLimitError(power, limit)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below psi_13

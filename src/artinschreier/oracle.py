@@ -14,7 +14,8 @@ The trace-form histogram works on the F_p coordinates X of x: each base-p
 digit of Tr(a x (x^(q^i) - x)) is a quadratic form X G_c X^T mod p
 (_digit_matrices), whose joint fibers _fiber_counts counts one coordinate at
 a time.  No element is visited one by one, no rank, character or closed form
-enters, and no step holds more than max(chunk_size, p) tuples, whatever q^n.
+enters, and the memory held is bounded by the chunk size and N = ns, whatever
+q^n.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ _CHUNK = 1 << 18
 _HIST_CACHE: dict = {}
 _IMAGE_CACHE: dict = {}
 _FIBER_CACHE: dict = {}
-
-
-def _check_limit(requested: int, limit: int) -> None:
-    if requested > limit:
-        raise EnumerationLimitError(requested, limit)
 
 
 def _g_powers(t: FieldTower, count: int) -> list:
@@ -126,7 +122,9 @@ def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
     k > m, and drops lin_(c,m); equal tuples merge and their counts add.  A
     state whose next step would hold more than chunk_size entries is split
     into two column halves, counted one after the other, so no step holds
-    more than max(chunk_size, p)."""
+    more than max(chunk_size, p).  The halves not yet counted wait on a
+    stack: all pieces of one level come from one step, so at most
+    N max(chunk_size, p) tuples of at most (N + 1) s digits wait at once."""
     s, N = G.shape[0], G.shape[1]
     S = (G + G.transpose(0, 2, 1)) % p
     dtype = np.min_scalar_type(p * p)  # every unreduced sum below is < p^2
@@ -194,7 +192,7 @@ def qf_histogram(tower: FieldTower, i: int, a: int,
         raise ValueError(f"need 0 < i < n, got i={i}, n={t.n}")
     if not 0 < a < t.q:
         raise ValueError(f"a={a} is not in F_q*")
-    _check_limit(t.ext_card, limit)
+    check_power_limit(t.p, t.s * t.n, limit)
     key = (t.p, t.s, t.n, i, a)
     if key not in _HIST_CACHE:
         _HIST_CACHE[key] = _histogram_compute(t, i, a, _CHUNK)
@@ -212,7 +210,7 @@ def oracle_direct(spec: CurveSpec, limit: int = DEFAULT_LIMIT) -> int:
     against the per-tower count of y^q - y and with no trace or fiber argument,
     which it thus validates.  Refuses unless q^(2n) <= limit: tiny towers only."""
     t = spec.tower
-    _check_limit(t.q ** (2 * t.n), limit)
+    check_power_limit(t.p, 2 * t.s * t.n, limit)
     return _direct_count(t, spec.terms, spec.lam)
 
 
@@ -260,7 +258,7 @@ def _read_fiber(spec: CurveSpec | HypersurfaceSpec, limit: int) -> int:
     per-term histograms, from _FIBER_CACHE; a fiber not read before costs q
     products.  Refuses when q^n > limit, also on a cache hit."""
     t = spec.tower
-    _check_limit(t.ext_card, limit)
+    check_power_limit(t.p, t.s * t.n, limit)
     terms = spec.terms
     key = (t.p, t.s, t.n, tuple(sorted(terms)))
     entry = _FIBER_CACHE.get(key)
@@ -294,7 +292,7 @@ def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMI
     split, trace or histogram: each term once per x, every tuple's sum looked up
     in the per-tower count of y^q - y.  Refuses unless q^(rn) (>= q^n) <= limit."""
     t = spec.tower
-    _check_limit(t.q ** (t.n * spec.r), limit)
+    check_power_limit(t.p, t.s * t.n * spec.r, limit)
     return _direct_count(t, spec.terms, spec.lam)
 
 
@@ -322,10 +320,10 @@ def char_sum_numeric(tower: FieldTower, H) -> complex:
     with matrix entries TrAbs(g^(v + v') H_jk); its p fibers are counted
     exactly, so the only rounding is in the sum of p phases."""
     t = tower
-    n, q, p = t.n, t.q, t.p
+    n, p = t.n, t.p
     if len(H) != n or any(len(row) != n for row in H):
         raise ValueError("H must be n x n")
-    _check_limit(q ** n, 10_000)
+    check_power_limit(p, t.s * n, 10_000)
     powers = _g_powers(t, 2 * t.s - 1)
     vals = [[[t.base_trace_to_prime(t.bmul(g, h)) for g in powers] for h in row]
             for row in H]

@@ -158,10 +158,11 @@ def test_verify_limit_exit_3(capsys):
     code, _, err = _run(capsys, ["verify", "--p", "3", "--n", "6", "--i", "1",
                                  "--limit", "10"])
     assert code == 3 and "refused:" in err
-    # 3^10000 has 4772 digits, past the int-to-str conversion limit
+    # 3^10000 has 4772 digits, past the int-to-str conversion limit; it is
+    # refused without being formed
     code, _, err = _run(capsys, ["verify", "--p", "3", "--n", "10000", "--i", "1"])
     assert code == 3
-    assert err == "refused: enumeration of at least 2^15849 elements exceeds the limit 10000000\n"
+    assert err == "refused: enumeration of 3^10000 elements exceeds the limit 10000000\n"
 
 
 def test_huge_p_answered_or_refused_fast(capsys):
@@ -339,6 +340,10 @@ def test_sweep_upfront_limit_exit_3(capsys):
     assert code == 3
     assert "refused:" in err
     assert out == ""  # refusal happens before any row is emitted
+    # a size of a few dozen bits is still stated in full
+    code, out, err = _run(capsys, ["sweep", "--p", "3", "--n-max", "25"])
+    assert code == 3 and out == ""
+    assert err == "refused: enumeration of 847288609443 elements exceeds the limit 10000000\n"
     # 3^(n-max) is never formed: these refuse as fast as the small one
     for n_max in ("10000000", "30000000", "100000000"):
         _assert_refused_fast(["sweep", "--p", "3", "--n-max", n_max])

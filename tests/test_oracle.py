@@ -150,6 +150,26 @@ def test_qf_histogram_memory_bounded_by_chunk():
     assert peak < 16 * 2 ** 20, peak
 
 
+def test_qf_histogram_memory_bounded_when_split():
+    # chunks that force splits: at most max(chunk, p) tuples of (N + 1) s
+    # one-byte digits wait per level, N = ns levels, besides the matrices
+    import tracemalloc
+
+    from artinschreier import oracle
+
+    for (p, s, n), chunk in (((3, 5, 2), 100), ((3, 7, 2), 1000)):
+        t = build_tower(p, s, n)
+        N = s * n
+        tracemalloc.start()
+        try:
+            hist = oracle._histogram_compute(t, 1, 1, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.values()) == t.q ** n
+        assert peak < 2 ** 18 + 4 * N * chunk * (N + 1) * s, (p, s, n, peak)
+
+
 def test_qf_histogram_cache_returns_copies():
     t = build_tower(3, 1, 2)
     h1 = qf_histogram(t, 1, 1)
@@ -173,6 +193,23 @@ def test_enumeration_limit_error():
     assert exc.value.limit == 10
     assert isinstance(exc.value, RuntimeError)
     assert str(exc.value) == "enumeration of 81 elements exceeds the limit 10"
+
+
+def test_check_power_limit_forms_only_statable_powers():
+    from artinschreier.fields import check_power_limit
+
+    check_power_limit(3, 10_000, 1 << 20_000)  # 2^15849 < 3^10000 < 2^20000
+    # the power is formed when its floor 2^(e (bits - 1)) does not exceed
+    # both 2^100 and the limit; over 100 bits it is stated by its order
+    for e, limit, requested, size in ((25, 10 ** 7, 3 ** 25, "847288609443"),
+                                      (100, 10, 3 ** 100, "at least 2^158"),
+                                      (1_000, 3 ** 900, 3 ** 1_000, "at least 2^1584"),
+                                      (101, 10, "3^101", "3^101"),
+                                      (10_000, 10 ** 200, "3^10000", "3^10000")):
+        with pytest.raises(EnumerationLimitError) as exc:
+            check_power_limit(3, e, limit)
+        assert exc.value.requested == requested, e
+        assert str(exc.value).startswith(f"enumeration of {size} elements"), e
 
 
 # ------------------------------------------------------------ curve oracle
