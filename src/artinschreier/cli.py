@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import random
 import sys
@@ -180,7 +181,7 @@ def _parse_terms(text: str, n: int):
     return tuple(terms)
 
 
-def _sweep_lambdas(policy: str, tower: FieldTower, rng: random.Random) -> list:
+def _sweep_lambdas(policy: str, tower: FieldTower, rng: random.Random):
     if policy == "zero":
         return [tower.zero]
     if policy == "basis":
@@ -193,16 +194,14 @@ def _sweep_lambdas(policy: str, tower: FieldTower, rng: random.Random) -> list:
             raise _UsageError(f"bad --lambdas policy {policy!r}")
         if k < 1:
             raise _UsageError("random lambda count must be positive")
-        return [tower.random_element(rng) for _ in range(k)]
+        return (tower.random_element(rng) for _ in range(k))  # drawn as consumed
     raise _UsageError(f"--lambdas must be zero, basis, or random:K, got {policy!r}")
 
 
-def _cmd_sweep(args) -> int:
-    if args.n_min < 2 or args.n_max < args.n_min:
-        raise _UsageError("need 2 <= n-min <= n-max")
-    check_power_limit(args.p, args.s * args.n_max, args.limit)
+def _sweep_rows(args):
+    """(tower, kind, what, lambda) of each sweep row in output order, each
+    drawn only when the row before it has been written."""
     rng = random.Random(args.seed)
-    rows = []
     for n in range(args.n_min, args.n_max + 1):
         tower = build_tower(args.p, args.s, n)
         if args.terms is not None:
@@ -218,7 +217,17 @@ def _cmd_sweep(args) -> int:
             specs = [("curve", i) for i in range(1, n)]
         for kind, what in specs:
             for lam in _sweep_lambdas(args.lambdas, tower, rng):
-                rows.append((tower, kind, what, lam))
+                yield tower, kind, what, lam
+
+
+def _cmd_sweep(args) -> int:
+    if args.n_min < 2 or args.n_max < args.n_min:
+        raise _UsageError("need 2 <= n-min <= n-max")
+    check_power_limit(args.p, args.s * args.n_max, args.limit)
+    rows = _sweep_rows(args)
+    # a bad --p, --terms or --lambdas is refused while the first row is
+    # drawn, so nothing reaches stdout before it
+    first = list(itertools.islice(rows, 1))
     header = ["p", "s", "n", "i_list", "a_list", "trace_lambda", "closed_form",
               "oracle", "bound_lower", "bound_upper", "classification"]
     jsonl = args.format == "jsonl"
@@ -227,7 +236,7 @@ def _cmd_sweep(args) -> int:
     if not jsonl:
         out.writerow(header)
     mismatch = False
-    for tower, kind, what, lam in rows:
+    for tower, kind, what, lam in itertools.chain(first, rows):
         spec = (CurveSpec if kind == "curve" else HypersurfaceSpec)(tower, what, lam)
         rep, oracle = _count_and_oracle(spec, args.limit)
         i_cell = ";".join(str(i) for _, i in spec.terms)

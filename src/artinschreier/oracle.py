@@ -2,13 +2,14 @@
 
 Nothing here consults the closed formulas.  Curve and hypersurface counts come
 from exact fiber counts of the trace form or, in the direct variants, from one
-literal scan that reads no trace or fiber argument (_direct_count); the
-Gauss/character sums are summed in floating point.  A hypersurface needs one
-fiber of the r-fold convolution of its per-term histograms, the one at
-Tr(lambda): the first r - 1 are convolved over (F_q, +) and the result is
-paired with the last at that value.  Only that value depends on lambda, so
-the histograms are cached per (tower, i, a), and the convolution with the
-fibers read from it per (tower, term multiset).
+literal scan that reads no trace or fiber argument (_direct_count): it visits
+every tuple, forms each sum of the first r - 1 terms once and adds each value
+of the last term to it.  The Gauss/character sums are summed in floating
+point.  A hypersurface needs one fiber of the r-fold convolution of its
+per-term histograms, the one at Tr(lambda): the first r - 1 are convolved
+over (F_q, +) and the result is paired with the last at that value.  Only
+that value depends on lambda, so the histograms are cached per (tower, i, a),
+and the convolution with the fibers read from it per (tower, term multiset).
 
 The trace-form histogram works on the F_p coordinates X of x: each base-p
 digit of Tr(a x (x^(q^i) - x)) is a quadratic form X G_c X^T mod p
@@ -215,20 +216,25 @@ def oracle_direct(spec: CurveSpec, limit: int = DEFAULT_LIMIT) -> int:
 
 
 def _direct_count(t: FieldTower, terms, lam) -> int:
-    """#{(x_1, ..., x_r, y) : y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda}."""
+    """#{(x_1, ..., x_r, y) : y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda}.
+
+    Every tuple is visited: the prefix sum -lambda + v_1 + ... + v_(r-1) is
+    formed once per value tuple of the first r - 1 terms, and each value v_r
+    of the last term is added to it and looked up in the per-tower count of
+    y^q - y, so the scan makes q^(rn) + (r - 1) q^((r-1)n) xadd calls."""
     key = (t.p, t.s, t.n)
     if key not in _IMAGE_CACHE:
         _IMAGE_CACHE[key] = Counter(t.xsub(t.xpow(y, t.q), y) for y in t.elements())
     images = _IMAGE_CACHE[key]
-    values = [[t.xscale(a, t.xmul(x, t.xsub(t.frobenius(x, i), x))) for x in t.elements()]
-              for a, i in terms]
+    *head, last = [[t.xscale(a, t.xmul(x, t.xsub(t.frobenius(x, i), x))) for x in t.elements()]
+                   for a, i in terms]
     neg_lam = t.xneg(lam)
     count = 0
-    for tup in product(*values):
+    for prefix in product(*head):
         rhs = neg_lam
-        for v in tup:
+        for v in prefix:
             rhs = t.xadd(rhs, v)
-        count += images.get(rhs, 0)
+        count += sum(images.get(t.xadd(rhs, v), 0) for v in last)
     return count
 
 
@@ -289,8 +295,10 @@ def oracle_hypersurface(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> i
 
 def oracle_hypersurface_direct(spec: HypersurfaceSpec, limit: int = DEFAULT_LIMIT) -> int:
     """Literal count over all q^(rn) tuples by the shared scan, with no per-term
-    split, trace or histogram: each term once per x, every tuple's sum looked up
-    in the per-tower count of y^q - y.  Refuses unless q^(rn) (>= q^n) <= limit."""
+    split, trace or histogram: each term once per x, each prefix sum of the
+    first r - 1 terms once, every tuple's sum looked up in the per-tower count
+    of y^q - y (q^(rn) + (r - 1) q^((r-1)n) xadd calls).  Refuses unless
+    q^(rn) (>= q^n) <= limit."""
     t = spec.tower
     check_power_limit(t.p, t.s * t.n * spec.r, limit)
     return _direct_count(t, spec.terms, spec.lam)

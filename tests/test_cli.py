@@ -282,6 +282,27 @@ def test_sweep_computes_each_histogram_and_convolution_once_per_n(capsys, monkey
     assert entries == [(3, ((1, 2), (2, 1))), (4, ((1, 2), (2, 1)))]
 
 
+def test_sweep_memory_does_not_grow_with_rows():
+    # each row is drawn, computed and written before the next is drawn, so
+    # 100x more random lambdas leave the traced peak where it was
+    import contextlib
+    import tracemalloc
+
+    def peak(k):
+        argv = ["sweep", "--p", "3", "--n-max", "2", "--lambdas", f"random:{k}"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            cli.run(argv)  # warm the tower and oracle caches
+            tracemalloc.start()
+            try:
+                assert cli.run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    small, large = peak(200), peak(20000)
+    assert large < small + 256 * 1024, (small, large)
+
+
 def test_sweep_jsonl(capsys):
     code, out, _ = _run(capsys, ["sweep", "--p", "3", "--n-max", "3",
                                  "--format", "jsonl"])

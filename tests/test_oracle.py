@@ -463,13 +463,37 @@ def _reference_hypersurface_tuples(spec):
 def test_oracle_hypersurface_direct_matches_per_tuple_reference():
     rng = random.Random(127)
     cases = [(3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 2, 3), (3, 1, 3, 2),
-             (3, 2, 2, 2), (5, 1, 2, 3)]
+             (3, 2, 2, 2), (5, 1, 2, 3), (3, 1, 2, 4)]
     for p, s, n, r in cases:
         t = build_tower(p, s, n)
         for lam in (t.zero, t.random_element(rng)):
             spec = HypersurfaceSpec(t, random_terms(t, rng, r), lam)
             assert oracle_hypersurface_direct(spec) == \
                 _reference_hypersurface_tuples(spec), (p, s, n, spec.terms, lam)
+
+
+def test_oracle_hypersurface_direct_forms_each_prefix_sum_once(monkeypatch):
+    # one xadd per tuple for the last term and r - 1 per prefix of the first
+    # r - 1 terms; adding every term again for each tuple takes r q^(rn)
+    from artinschreier.fields import FieldTower
+
+    t = build_tower(3, 1, 2)
+    rng = random.Random(131)
+    calls = []
+    real_xadd = FieldTower.xadd
+
+    def xadd(self, x, y):
+        calls.append(1)
+        return real_xadd(self, x, y)
+
+    monkeypatch.setattr(FieldTower, "xadd", xadd)
+    qn = t.ext_card
+    for r in (2, 3):
+        spec = HypersurfaceSpec(t, random_terms(t, rng, r), t.random_element(rng))
+        calls.clear()
+        count = oracle_hypersurface_direct(spec)
+        assert len(calls) <= qn ** r + (r - 1) * qn ** (r - 1), (r, len(calls))
+        assert count == oracle_hypersurface(spec), spec.terms
 
 
 # ------------------------------------------------------------- gauss sums
