@@ -199,8 +199,8 @@ def _sweep_lambdas(policy: str, tower: FieldTower, rng: random.Random):
 
 
 def _sweep_rows(args):
-    """(tower, kind, what, lambda) of each sweep row in output order, each
-    drawn only when the row before it has been written."""
+    """The spec of each sweep row in output order, each built only when the
+    row before it has been written."""
     rng = random.Random(args.seed)
     for n in range(args.n_min, args.n_max + 1):
         tower = build_tower(args.p, args.s, n)
@@ -210,14 +210,14 @@ def _sweep_rows(args):
                 print(f"skipping n={n}: --terms exponents out of range",
                       file=sys.stderr)
                 continue
-            specs = [("hyper", terms)]
+            specs = [(HypersurfaceSpec, terms)]
         elif args.i is not None:
-            specs = [("curve", i) for i in _int_list(args.i, "--i") if 0 < i < n]
+            specs = [(CurveSpec, i) for i in _int_list(args.i, "--i") if 0 < i < n]
         else:
-            specs = [("curve", i) for i in range(1, n)]
-        for kind, what in specs:
+            specs = [(CurveSpec, i) for i in range(1, n)]
+        for make, what in specs:
             for lam in _sweep_lambdas(args.lambdas, tower, rng):
-                yield tower, kind, what, lam
+                yield make(tower, what, lam)
 
 
 def _cmd_sweep(args) -> int:
@@ -225,8 +225,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("need 2 <= n-min <= n-max")
     check_power_limit(args.p, args.s * args.n_max, args.limit)
     rows = _sweep_rows(args)
-    # a bad --p, --terms or --lambdas is refused while the first row is
-    # drawn, so nothing reaches stdout before it
+    # a bad --p, --terms (exponent or coefficient) or --lambdas is refused
+    # while the first row is drawn, so nothing reaches stdout before it
     first = list(itertools.islice(rows, 1))
     header = ["p", "s", "n", "i_list", "a_list", "trace_lambda", "closed_form",
               "oracle", "bound_lower", "bound_upper", "classification"]
@@ -236,8 +236,8 @@ def _cmd_sweep(args) -> int:
     if not jsonl:
         out.writerow(header)
     mismatch = False
-    for tower, kind, what, lam in itertools.chain(first, rows):
-        spec = (CurveSpec if kind == "curve" else HypersurfaceSpec)(tower, what, lam)
+    for spec in itertools.chain(first, rows):
+        tower = spec.tower
         rep, oracle = _count_and_oracle(spec, args.limit)
         i_cell = ";".join(str(i) for _, i in spec.terms)
         a_cell = ";".join(str(a) for a, _ in spec.terms)

@@ -500,6 +500,15 @@ class FieldTower:
                 r = self.bmul(r, a)
         return r
 
+    def check_base_rows(self, rows: Sequence) -> None:
+        """Refuse with ValueError any entry of rows outside the F_q codes
+        0..q-1, which the arithmetic would read as another element or fail
+        on with IndexError."""
+        for row in rows:
+            for v in row:
+                if not 0 <= v < self.q:
+                    raise ValueError(f"entry {v} is not in F_q (codes 0..{self.q - 1})")
+
     def base_from_int(self, m: int) -> int:
         """The integer m as an element of F_q (m times the identity)."""
         return m % self.p

@@ -75,32 +75,23 @@ def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _frobenius_fp(t: FieldTower, i: int) -> np.ndarray:
-    """The F_p matrix of x -> x^(q^i) on the basis e_(u s + v) = t^u g^v:
-    row (u, v) holds the coordinates of g^v r^u, r = t^(q^i), because the
-    map is a ring homomorphism fixing F_q.  The rows of g^v r come from the
-    matrix of multiplication by t raised to q^i."""
-    n, s, p = t.n, t.s, t.p
-    ns = n * s
-    mul_t = np.zeros((ns, ns), dtype=np.int64)
-    mul_t[np.arange(ns - s), np.arange(s, ns)] = 1
-    # g^v t^(n-1) -> g^v t^n = -sum_m g^v c_m t^m, digit c at column m s + c
-    top = [[t.base_digits(t.bmul(g, t.bneg(c))) for c in t.ext_modulus[:n]]
-           for g in _g_powers(t, s)]
-    mul_t[ns - s:] = np.array(top, dtype=np.int64).reshape(s, ns)
-    step = _mat_pow(mul_t, t.q ** i, p)
-    rows = [np.eye(s, ns, dtype=np.int64)]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ step % p)
-    return np.concatenate(rows)
+    """The F_p matrix of x -> x^(q^i) on the basis e_(u s + v) = t^u g^v: the
+    i-th power of that of x -> x^q, whose row (u, v) holds the digits of
+    g^v (t^u)^q (the map fixes g in F_q), read from FieldTower.frobenius."""
+    monomials = map(tuple, np.eye(t.n, dtype=int).tolist())
+    images = [t.xscale(g, t.frobenius(t_u, 1)) for t_u in monomials for g in _g_powers(t, t.s)]
+    digits = np.array(images, dtype=np.int64)[:, :, None] // t.p ** np.arange(t.s) % t.p
+    return _mat_pow(digits.reshape(len(images), -1), i, t.p)
 
 
 def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
     """G[c][j][k] = c-th base-p digit of Tr(a e_j (e_k^(q^i) - e_k)) for the
     F_p basis e_(u s + v) = t^u g^v of F_{q^n} (g the F_q generator).
 
-    Writing e_k^(q^i) - e_k = sum_l D[k][l] e_l over F_p gives
-    G_c = Pi_c D^T mod p, where Pi_c[j][l] is digit c of the trace pairing
-    Tr(a e_j e_l) = a g^(v + w) Tr(t^(u + m)) for j = (u, v), l = (m, w)."""
+    Writing e_k^(q^i) - e_k = sum_l D[k][l] e_l over F_p, with D + I the
+    matrix of _frobenius_fp, gives G_c = Pi_c D^T mod p, where Pi_c[j][l] is
+    digit c of the trace pairing Tr(a e_j e_l) = a g^(v + w) Tr(t^(u + m))
+    for j = (u, v), l = (m, w)."""
     t = tower
     n, s, p = t.n, t.s, t.p
     scales = [t.bmul(a, g) for g in _g_powers(t, 2 * s - 1)]
@@ -331,6 +322,7 @@ def char_sum_numeric(tower: FieldTower, H) -> complex:
     n, p = t.n, t.p
     if len(H) != n or any(len(row) != n for row in H):
         raise ValueError("H must be n x n")
+    t.check_base_rows(H)
     check_power_limit(p, t.s * n, 10_000)
     powers = _g_powers(t, 2 * t.s - 1)
     vals = [[[t.base_trace_to_prime(t.bmul(g, h)) for g in powers] for h in row]

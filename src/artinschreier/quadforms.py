@@ -89,6 +89,7 @@ def _row_reduce(tower: FieldTower, rows: Sequence) -> tuple:
     """Reduced row echelon form over F_q: (rows, pivots), where pivots[k] is
     the column of the leading 1 of row k and rows past the rank are zero."""
     mat = [list(r) for r in rows]
+    tower.check_base_rows(mat)
     pivots = []
     cols = len(mat[0]) if mat else 0
     for c in range(cols):
@@ -122,8 +123,8 @@ def build_gram(tower: FieldTower, basis: Sequence, i: int, a: int) -> list:
     n = tower.n
     if not 0 < i < n:
         raise ValueError(f"need 0 < i < n, got i={i}, n={n}")
-    if a == 0:
-        raise ValueError("scalar a must be nonzero")
+    if not 0 < a < tower.q:
+        raise ValueError(f"a={a} is not in F_q*")
     if len(basis) != n or fq_matrix_rank(tower, [list(b) for b in basis]) != n:
         raise ValueError("basis is not F_q-linearly independent of full size")
     frob = [tower.frobenius(b, i) for b in basis]
@@ -150,6 +151,7 @@ def congruence_diagonalize(tower: FieldTower, H: Sequence) -> DiagonalizationRes
     """
     n = len(H)
     D = [list(row) for row in H]
+    tower.check_base_rows(D)
     for j in range(n):
         for l in range(j + 1, n):
             if D[j][l] != D[l][j]:

@@ -195,10 +195,12 @@ def test_huge_p_answered_or_refused_fast(capsys):
     ["count-curve", "--p", "3", "--n", "2", "--i", "1", "--lambda", "1,1,1"],
     ["sweep", "--p", "3", "--n-max", "1"],
     ["sweep", "--p", "3", "--n-max", "3", "--lambdas", "bogus"],
+    ["sweep", "--p", "3", "--n-max", "3", "--terms", "0:1"],
+    ["sweep", "--p", "3", "--n-max", "3", "--terms", "3:1"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
-    code, _, err = _run(capsys, argv)
-    assert code == 1
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
     assert "error:" in err
 
 

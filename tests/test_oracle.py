@@ -133,6 +133,28 @@ def test_digit_matrices_match_definition():
                     _definition_digit_matrices(t, i, a), (p, s, n, i, a)
 
 
+def test_frobenius_fp_matches_xpow():
+    # the F_p matrix against x^(q^i) by repeated squaring, which reads no
+    # Frobenius table; digit v of x_u sits at index u s + v
+    import numpy as np
+
+    from artinschreier.oracle import _frobenius_fp
+
+    rng = random.Random(16)
+    for p, s, n in [(3, 1, 5), (3, 2, 3), (5, 1, 4), (3, 3, 2), (7, 3, 2), (3, 1, 9)]:
+        t = build_tower(p, s, n)
+
+        def coords(x):
+            return [d for c in x for d in t.base_digits(c)]
+
+        for i in range(1, n):
+            mat = _frobenius_fp(t, i)
+            for _ in range(3):
+                x = tuple(rng.randrange(t.q) for _ in range(n))
+                assert (np.array(coords(x)) @ mat % p).tolist() == \
+                    coords(t.xpow(x, t.q ** i)), (p, s, n, i, x)
+
+
 def test_qf_histogram_memory_bounded_by_chunk():
     import tracemalloc
 

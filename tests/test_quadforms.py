@@ -120,6 +120,25 @@ def test_build_gram_rejects_dependent_basis():
         build_gram(t, [(1, 0), (0, 1)], 1, 0)  # a = 0
 
 
+# entries outside the codes 0..q-1: on s = 1 they would be read mod p
+# (3 as 0, 4 as 1), on s > 1 they would index past the tables
+@pytest.mark.parametrize("call", [
+    lambda t, bad: congruence_diagonalize(t, [[bad, 0], [0, 1]]),
+    lambda t, bad: rank_and_char(t, [[1, 0], [0, bad]]),
+    lambda t, bad: char_sum_closed_form(t, [[bad, 1], [1, 0]]),
+    lambda t, bad: char_sum_numeric(t, [[bad, 0], [0, 1]]),
+    lambda t, bad: fq_matrix_rank(t, [[1, bad], [0, 1]]),
+    lambda t, bad: build_gram(t, [t.one, (0, 1)], 1, bad),
+    lambda t, bad: build_gram(t, [t.one, (bad, 1)], 1, 1),
+], ids=["diagonalize", "rank_and_char", "char_sum_closed_form", "char_sum_numeric",
+        "fq_matrix_rank", "build_gram_a", "build_gram_basis"])
+@pytest.mark.parametrize("p,s,bad", [(3, 1, 3), (3, 1, 4), (3, 1, -1), (3, 2, 9), (5, 2, 30)])
+def test_entries_outside_fq_refused(call, p, s, bad):
+    t = build_tower(p, s, 2)
+    with pytest.raises(ValueError, match="not in F_q"):
+        call(t, bad)
+
+
 # ------------------------------------------------------------ diagonalize
 
 
