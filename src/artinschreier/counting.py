@@ -5,19 +5,21 @@ Counts the affine rational points of
     curve          y^q - y = x (x^(q^i) - x) - lambda          over F_{q^n},
     hypersurface   y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda,
 
-with everything exact: counts and bounds are arbitrary-precision integers,
-and the fourth-root-of-unity bookkeeping must land in {1, -1} (a non-real
-unit raises, it is never truncated).
+with everything exact: counts and bounds are arbitrary-precision integers.
 
 The curve is the one-term hypersurface with a = 1.  Both counts, and the
 classification, come from the rank and discriminant character of the trace
-forms x -> Tr(a_j x (x^(q^i_j) - x)) (Lidl-Niederreiter, Finite Fields,
-Thms 6.26-6.27), which term_invariants derives from d = gcd(i, n) and
-l = n/d alone.  Hypersurface branches are "even"/"odd" after the parity of
-the rank sum R.  A curve branch name puts the selector in front: "coprime"
-or "multiple" says whether l is coprime to p or a multiple of it, so the
-names are coprime-odd, coprime-even, multiple-odd and multiple-even.  The
-n = 2i case flows through the coprime branches (l = 2 and p is odd).
+forms x -> Tr(a_j x (x^(q^i_j) - x)), which term_invariants derives from
+d = gcd(i, n) and l = n/d alone.  y^q - y = c has q solutions in F_{q^n}
+when Tr(c) = 0 and none otherwise, so a count is q times the number of x in
+F_{q^n}^r where the direct sum of the forms takes the value Tr(lambda):
+count_qf_solutions for dimension nr, the rank sum R and the discriminant
+character (Lidl-Niederreiter, Finite Fields, Thms 6.26-6.27).  Hypersurface
+branches are "even"/"odd" after the parity of R.  A curve branch name puts
+the selector in front: "coprime" or "multiple" says whether l is coprime to
+p or a multiple of it, so the names are coprime-odd, coprime-even,
+multiple-odd and multiple-even.  The n = 2i case flows through the coprime
+branches (l = 2 and p is odd).
 """
 
 from __future__ import annotations
@@ -50,8 +52,13 @@ class CurveSpec(_Spec):
     def __new__(cls, tower: FieldTower, i: int, lam: tuple):
         if not 0 < i < tower.n:
             raise ValueError(f"need 0 < i < n, got i={i}, n={tower.n}")
+        lam = tuple(lam)
         if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
+        ordered = sorted(lam)  # one builtin call, where min and max take two
+        if ordered[0] < 0 or ordered[-1] >= tower.q:
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"lambda coefficient {bad} is not in 0..q-1 = 0..{tower.q - 1}")
         return tuple.__new__(cls, (tower, i, lam))
 
     @property
@@ -66,6 +73,7 @@ class HypersurfaceSpec(_Spec):
     lam: tuple
 
     def __new__(cls, tower: FieldTower, terms: tuple, lam: tuple):
+        terms, lam = tuple(map(tuple, terms)), tuple(lam)
         if len(terms) < 1:
             raise ValueError("need at least one term")
         for a, i in terms:
@@ -75,6 +83,10 @@ class HypersurfaceSpec(_Spec):
                 raise ValueError(f"need 0 < i_j < n, got i_j={i}, n={tower.n}")
         if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
+        ordered = sorted(lam)  # one builtin call, where min and max take two
+        if ordered[0] < 0 or ordered[-1] >= tower.q:
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"lambda coefficient {bad} is not in 0..q-1 = 0..{tower.q - 1}")
         return tuple.__new__(cls, (tower, terms, lam))
 
     @property
@@ -120,6 +132,33 @@ def eps(alpha: int, q: int) -> int:
     return q - 1 if alpha == 0 else -1
 
 
+def count_qf_solutions(tower: FieldTower, n: int, v: int, delta_char: int, alpha: int) -> int:
+    """Number of x in F_q^n with Q(x) = alpha, for a quadratic form of radical
+    dimension v whose reduced determinant has quadratic character delta_char.
+
+    n + v even:  S_alpha = q^(n-1) + eps(alpha) D q^((n+v-2)/2),
+                 with D = chi((-1)^((n-v)/2)) * delta_char.
+    n + v odd:   S_0 = q^(n-1),
+                 S_a = q^(n-1) + chi((-1)^((n-v-1)/2) alpha) delta_char
+                       * q^((n+v-1)/2)                     (a != 0).
+    """
+    if not 0 <= v <= n:
+        raise ValueError("need 0 <= v <= n")
+    if delta_char not in (-1, 1):
+        raise ValueError("delta_char must be +1 or -1")
+    q = tower.q
+    if v == n:  # zero form
+        return q ** n if alpha == 0 else 0
+    if (n + v) % 2 == 0:
+        D = tower.quadratic_character(tower.base_from_int((-1) ** ((n - v) // 2))) * delta_char
+        return q ** (n - 1) + eps(alpha, q) * D * q ** ((n + v - 2) // 2)
+    if alpha == 0:
+        return q ** (n - 1)
+    arg = tower.bmul(tower.base_from_int((-1) ** ((n - v - 1) // 2)), alpha)
+    D = tower.quadratic_character(arg) * delta_char
+    return q ** (n - 1) + D * q ** ((n + v - 1) // 2)
+
+
 def term_invariants(t: FieldTower, n: int, a: int, i: int) -> Tuple[int, int, int, int, int]:
     """(d, l, rank, sign, chi_arg) of the trace form x -> Tr(a x (x^(q^i) - x))
     on F_{q^n}, from d = gcd(i, n) and l = n/d.  Only the F_q arithmetic of
@@ -163,33 +202,32 @@ def _profile(t: FieldTower, terms) -> tuple:
     """The one pass over the terms, kept in _PROFILES by (p, s, n, terms) in
     spec order (the X and Y indices follow it): all that the count, the
     classifiers, weil_bounds and hypersurface_invariants read and that does
-    not depend on lambda, as ((a, i, d, l) per term, R, unit, chi_arg, exact,
-    D1, D2, WeilBounds).  unit is the count's i-exponent before Tr(lambda)
-    enters, chi_arg the product of the terms' chi arguments, and exact says
-    i_j = d_j for every j in Y."""
-    key = (t.p, t.s, t.n, tuple(terms))
+    not depend on lambda, as ((a, i, d, l) per term, R, chi_delta, chi_arg,
+    exact, D1, D2, WeilBounds).  chi_arg is the product of the terms' chi
+    arguments, chi_delta = (prod_j sign_j) chi(chi_arg) the discriminant
+    character of the direct sum of the term forms, and exact says i_j = d_j
+    for every j in Y."""
+    key = (t.p, t.s, t.n, terms)
     profile = _PROFILES.get(key)
     if profile is not None:
         return profile
     q, n, p, s = t.q, t.n, t.p, t.s
     rows = []
-    R = I = D1 = D2 = unit = 0
-    chi_arg = 1
+    R = I = D1 = D2 = 0
+    signs = chi_arg = 1
     exact = True
     for a, i in terms:
         d, l, rank, sign, arg = term_invariants(t, n, a, i)
         rows.append((a, i, d, l))
         R += rank
         I += i
-        if sign < 0:
-            unit += 2
+        signs *= sign
         chi_arg = t.bmul(chi_arg, arg)
         if l % p:
             D1 += d
         else:
             D2 += d
             exact = exact and i == d
-    unit += 2 * (s + 1) * R + tau_power(p, s * R)
     nr = n * len(rows)
     center = q ** nr
     square = (q - 1) ** 2 * q ** (nr + 2 * I)
@@ -197,7 +235,8 @@ def _profile(t: FieldTower, terms) -> tuple:
     half = (s * nr) % 2 == 1
     if (dev * dev == square) == half:
         raise RuntimeError("half-integral flag disagrees with the Weil deviation")
-    profile = _PROFILES[key] = (tuple(rows), R, unit, chi_arg, exact, D1, D2,
+    chi_delta = signs * t.quadratic_character(chi_arg)
+    profile = _PROFILES[key] = (tuple(rows), R, chi_delta, chi_arg, exact, D1, D2,
                                 WeilBounds(center - dev, center + dev, half))
     return profile
 
@@ -233,27 +272,13 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
     """count_hypersurface for either kind of spec; classify is the
     module-level classifier of that kind, which must name the same end."""
     t = spec.tower
-    q, p, s = t.q, t.p, t.s
-    rows, R, iexp, chi_arg, _, _, _, bounds = _profile(t, spec.terms)
+    rows, R, chi_delta, _, _, _, _, bounds = _profile(t, spec.terms)
     trl = spec.trace_lambda
     nr = t.n * len(rows)
-    if R % 2 and trl == 0:
-        count = q ** nr
-    else:
-        if R % 2:
-            iexp += 2 * (s + 1) + tau_power(p, s)
-            chi_arg = t.bmul(chi_arg, t.bneg(trl))
-            factor, power = 1, nr - (R - 1) // 2
-        else:
-            factor, power = eps(trl, q), nr - R // 2
-        if iexp % 2:
-            raise ArithmeticError("non-real unit; bookkeeping bug")
-        if t.quadratic_character(chi_arg) == -1:
-            iexp += 2
-        count = q ** nr + (1 if iexp % 4 == 0 else -1) * factor * q ** power
+    count = t.q * count_qf_solutions(t, nr, nr - R, chi_delta, trl)
     branch = "odd" if R % 2 else "even"
     if isinstance(spec, CurveSpec):
-        branch = ("multiple-" if rows[0][3] % p == 0 else "coprime-") + branch
+        branch = ("multiple-" if rows[0][3] % t.p == 0 else "coprime-") + branch
     lower, upper, half = bounds
     classification = ("Maximal" if count == upper else
                       "Minimal" if count == lower else "Neither")
@@ -282,15 +307,14 @@ def count_curve(spec: CurveSpec) -> CountReport:
 def count_hypersurface(spec: HypersurfaceSpec) -> CountReport:
     """Exact N for y^q - y = sum_j a_j x_j (x_j^(q^i_j) - x_j) - lambda.
 
-    Assembled term by term from the per-form character sums: term j gives
-        (-1)^(rank_j (s+1)) tau^(s rank_j) sign_j chi(c^rank_j chi_arg_j) q^(n - rank_j/2)
-    for c in F_q*, with rank_j, sign_j and chi_arg_j from term_invariants.
-    With R = sum of the term ranks and U the accumulated unit:
-      R even: N = q^rn + eps(Tr(lam)) U q^(rn - R/2)
-      R odd:  N = q^rn                            if Tr(lam) = 0,
-              N = q^rn + U' q^(rn - (R-1)/2)      otherwise,
-    where U' folds in the Gauss sum (-1)^(s+1) tau^s sqrt(q) and chi(-Tr(lam)).
-    The unit is tracked as a power of i and must come out real.
+    N = q count_qf_solutions(nr, nr - R, chi(delta), Tr(lam)): the direct sum
+    of the term forms has dimension nr, rank R = sum of the rank_j and
+    discriminant character chi(delta) = prod_j sign_j chi(chi_arg_j), with
+    rank_j, sign_j and chi_arg_j from term_invariants.  That is
+      R even: N = q^rn + eps(Tr(lam)) chi((-1)^(R/2) delta) q^(rn - R/2)
+      R odd:  N = q^rn                          if Tr(lam) = 0,
+              N = q^rn + chi((-1)^((R-1)/2) Tr(lam) delta) q^(rn - (R-1)/2)
+                                                otherwise.
     """
     return _count(spec, classify_hypersurface)
 
@@ -301,10 +325,11 @@ _LABELS = {1: "Maximal", -1: "Minimal", None: "Neither"}
 def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
     """The condition pass of both classifiers: (Tr(lambda) = 0, nr even, D1,
     D2, i_j = d_j for every j in Y, end); end is None, or (sR mod 4,
-    tauFactor, chiSign, sign) when a bound is attained.  tauFactor is stated
-    here, and chiSign writes its prefactor (-1)^((n+1)|Y|) out instead of
-    taking the term signs or the count's unit, so the count's cross-check
-    meets a second statement of the sign.
+    tauFactor, chiSign, sign) when a bound is attained.  The sign is a
+    Gauss-sum derivation: tauFactor is stated here, and chiSign writes its
+    prefactor (-1)^((n+1)|Y|) out instead of taking the term signs or the
+    count's chi(delta), so the count's cross-check compares it with the
+    quadric count.
     """
     t = spec.tower
     n, s = t.n, t.s

@@ -4,7 +4,9 @@ Matrices over F_q are lists of row lists of base-element ints.  The central
 objects are the integer circulant M_{n,i} = (P^i)^T - 2 Id + P^i (P the cyclic
 shift), the Gram matrix A of the trace form in a chosen basis, congruence
 diagonalization over F_q, and the exact value of the associated character sum
-as a fourth root of unity times a half-integral power of q.
+as a fourth root of unity times a half-integral power of q.  The solution
+count of Q(x) = alpha, count_qf_solutions, is defined in counting, whose
+closed forms are that count, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .counting import term_invariants
+from .counting import count_qf_solutions, term_invariants
 from .fields import FieldTower, FourthRootUnit, Record, build_tower, tau_power
 
 
@@ -263,36 +265,6 @@ def find_special_basis(tower: FieldTower) -> list:
             break
     fillers = basis[2:]
     return fillers + [beta, tower.one]
-
-
-def count_qf_solutions(tower: FieldTower, n: int, v: int, delta_char: int, alpha: int) -> int:
-    """Number of x in F_q^n with Q(x) = alpha, for a quadratic form of radical
-    dimension v whose reduced determinant has quadratic character delta_char.
-
-    n + v even:  S_0 = q^(n-1) + D q^((n+v-2)/2) (q - 1),
-                 S_a = q^(n-1) - D q^((n+v-2)/2)          (a != 0),
-                 with D = chi((-1)^((n-v)/2)) * delta_char.
-    n + v odd:   S_0 = q^(n-1),
-                 S_a = q^(n-1) + chi((-1)^((n-v-1)/2) alpha) delta_char
-                       * q^((n+v-1)/2)                     (a != 0).
-    """
-    if not 0 <= v <= n:
-        raise ValueError("need 0 <= v <= n")
-    if delta_char not in (-1, 1):
-        raise ValueError("delta_char must be +1 or -1")
-    q = tower.q
-    if v == n:  # zero form
-        return q ** n if alpha == 0 else 0
-    if (n + v) % 2 == 0:
-        D = tower.quadratic_character(tower.base_from_int((-1) ** ((n - v) // 2))) * delta_char
-        if alpha == 0:
-            return q ** (n - 1) + D * q ** ((n + v - 2) // 2) * (q - 1)
-        return q ** (n - 1) - D * q ** ((n + v - 2) // 2)
-    if alpha == 0:
-        return q ** (n - 1)
-    arg = tower.bmul(tower.base_from_int((-1) ** ((n - v - 1) // 2)), alpha)
-    D = tower.quadratic_character(arg) * delta_char
-    return q ** (n - 1) + D * q ** ((n + v - 1) // 2)
 
 
 def char_sum_closed_form(tower: FieldTower, H: Sequence) -> ExactValue:

@@ -402,6 +402,58 @@ def test_count_curve_lambda_in_base_field_skips_the_modulus_search():
     assert t._ext_modulus is None and t._tr_mono is None
 
 
+# (p, s, n, i or terms, c, e, k, branch, classification): lambda = (c, 0, ...,
+# 0), so no count searches a modulus, and closed_form = q^(nr) + e q^k.  The
+# rows cover p | l (where p | n makes Tr(lambda) = 0) and p not dividing l with
+# Tr(lambda) zero and nonzero, R odd and even, and attained bounds with one,
+# two and three terms
+FAR_PAST_THE_GRID = [
+    (3, 1, 300, 100, 0, -2, 250, 'multiple-even', 'Minimal'),
+    (3, 1, 300, 50, 1, -2, 200, 'multiple-even', 'Minimal'),
+    (3, 1, 300, 200, 2, -2, 250, 'multiple-even', 'Neither'),
+    (3, 1, 105, 35, 0, 0, 0, 'multiple-odd', 'Neither'),
+    (3, 1, 300, 75, 2, 0, 0, 'coprime-odd', 'Neither'),
+    (5, 1, 101, 1, 1, -1, 51, 'coprime-even', 'Neither'),
+    (5, 1, 101, 7, 0, 4, 51, 'coprime-even', 'Neither'),
+    (7, 1, 200, 8, 3, -1, 104, 'coprime-even', 'Neither'),
+    (7, 1, 202, 101, 3, 1, 152, 'coprime-odd', 'Neither'),
+    (13, 2, 130, 10, 5, -168, 75, 'multiple-even', 'Minimal'),
+    (13, 1, 1000, 250, 7, -1, 625, 'coprime-even', 'Neither'),
+    (5, 2, 125, 25, 3, 0, 0, 'multiple-odd', 'Neither'),
+    (3, 2, 150, 30, 0, 8, 90, 'coprime-even', 'Neither'),
+    (3, 2, 151, 2, 4, -1, 76, 'coprime-even', 'Neither'),
+    (7, 2, 343, 49, 2, 0, 0, 'multiple-odd', 'Neither'),
+    (3, 1, 999, 333, 1, 0, 0, 'multiple-odd', 'Neither'),
+    (3, 1, 102, ((1, 34), (2, 34)), 0, 2, 170, 'even', 'Maximal'),
+    (5, 1, 101, ((1, 1), (3, 2)), 2, -1, 102, 'even', 'Neither'),
+    (5, 1, 101, ((2, 1), (3, 5), (4, 10)), 1, -1, 153, 'even', 'Neither'),
+    (7, 1, 105, ((1, 5), (6, 21)), 3, 0, 0, 'odd', 'Neither'),
+    (13, 1, 130, ((2, 10), (5, 13)), 0, 0, 0, 'odd', 'Neither'),
+    (3, 2, 101, ((1, 1), (5, 3)), 7, -1, 102, 'even', 'Neither'),
+    (3, 2, 101, ((2, 1),), 1, -1, 51, 'even', 'Neither'),
+    (5, 2, 101, ((3, 1), (7, 2), (11, 4)), 3, -1, 153, 'even', 'Neither'),
+    (5, 1, 102, ((1, 3), (4, 2)), 2, 1, 105, 'odd', 'Neither'),
+    (13, 2, 104, ((1, 1), (2, 13), (3, 8)), 2, 0, 0, 'odd', 'Neither'),
+    (3, 1, 900, ((1, 300), (2, 300), (1, 100)), 0, -2, 2050, 'even', 'Minimal'),
+    (7, 2, 202, ((1, 101), (10, 2)), 5, -1, 254, 'odd', 'Neither'),
+    (3, 1, 300, ((1, 200), (2, 100)), 0, 2, 500, 'even', 'Neither'),
+    (5, 1, 500, ((4, 100), (2, 250)), 0, -4, 725, 'even', 'Neither'),
+]
+
+
+def test_hypersurface_counts_far_past_the_grid():
+    for p, s, n, what, c, e, k, branch, label in FAR_PAST_THE_GRID:
+        t = build_tower(p, s, n)
+        lam = (c,) + (0,) * (n - 1)
+        if isinstance(what, int):
+            rep, r = count_curve(CurveSpec(t, what, lam)), 1
+        else:
+            rep, r = count_hypersurface(HypersurfaceSpec(t, what, lam)), len(what)
+        assert rep.closed_form == t.q ** (n * r) + e * t.q ** k, (p, s, n, what, c)
+        assert (rep.branch, rep.classification) == (branch, label), (p, s, n, what, c)
+        assert t._ext_modulus is None
+
+
 def test_trace_builds_the_modulus_on_first_need():
     lazy, eager = FieldTower(3, 1, 30), FieldTower(3, 1, 30)
     eager.ext_modulus  # the search runs first, before any count
@@ -477,6 +529,17 @@ def test_term_profile_built_once_per_terms(monkeypatch):
 
 
 # -------------------------------------------------------------- validation
+
+
+def test_list_inputs_give_the_tuple_report():
+    t = build_tower(3, 1, 4)
+    lam = (1, 0, 2, 0)
+    cases = [(CurveSpec(t, 1, list(lam)), CurveSpec(t, 1, lam), count_curve),
+             (HypersurfaceSpec(t, [[1, 1], [2, 3]], list(lam)),
+              HypersurfaceSpec(t, ((1, 1), (2, 3)), lam), count_hypersurface)]
+    for listed, tupled, count in cases:
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert count(listed) == count(tupled)
 
 
 def test_curve_spec_validation():

@@ -133,6 +133,16 @@ def test_hypersurface_r():
      "need 0 < i_j < n, got i_j=4, n=4"),
     (lambda: HypersurfaceSpec(T, ((1, 1),), LAM + (0,)),
      "lambda has the wrong number of coefficients"),
+    (lambda: CurveSpec(T, 1, (3, 0, 0, 0)), "lambda coefficient 3 is not in 0..q-1 = 0..2"),
+    (lambda: CurveSpec(T, 1, (0, -1, 2, 0)), "lambda coefficient -1 is not in 0..q-1 = 0..2"),
+    (lambda: HypersurfaceSpec(T, ((1, 1),), (0, 0, 0, 3)),
+     "lambda coefficient 3 is not in 0..q-1 = 0..2"),
+    (lambda: CurveSpec(build_tower(3, 2, 2), 1, (-1, 0)),
+     "lambda coefficient -1 is not in 0..q-1 = 0..8"),
+    (lambda: CurveSpec(build_tower(3, 2, 2), 1, (9, 0)),
+     "lambda coefficient 9 is not in 0..q-1 = 0..8"),
+    (lambda: HypersurfaceSpec(build_tower(3, 2, 2), ((1, 1), (8, 1)), (0, 9)),
+     "lambda coefficient 9 is not in 0..q-1 = 0..8"),
 ])
 def test_spec_validation_messages(build, message):
     with pytest.raises(ValueError) as info:
