@@ -36,10 +36,16 @@ SCHEMA_VERSION = 1
 
 def _from_oracle(name: str):
     """Stand-in for oracle.<name> that imports the oracle module, and with it
-    numpy, on its first call: the counting commands never need either."""
+    numpy, on its first call and keeps the function it found there: the
+    counting commands never need either."""
+    found = None
+
     def call(*args, **kwargs):
-        from . import oracle
-        return getattr(oracle, name)(*args, **kwargs)
+        nonlocal found
+        if found is None:
+            from . import oracle
+            found = getattr(oracle, name)
+        return found(*args, **kwargs)
     return call
 
 
@@ -202,6 +208,10 @@ def _sweep_rows(args):
     """The spec of each sweep row in output order, each built only when the
     row before it has been written."""
     rng = random.Random(args.seed)
+    if args.terms is None and args.i is not None:
+        i_list = _int_list(args.i, "--i")
+        if min(i_list) < 1:
+            raise _UsageError(f"--i exponents must be positive, got {args.i!r}")
     for n in range(args.n_min, args.n_max + 1):
         tower = build_tower(args.p, args.s, n)
         if args.terms is not None:
@@ -212,7 +222,11 @@ def _sweep_rows(args):
                 continue
             specs = [(HypersurfaceSpec, terms)]
         elif args.i is not None:
-            specs = [(CurveSpec, i) for i in _int_list(args.i, "--i") if 0 < i < n]
+            specs = [(CurveSpec, i) for i in i_list if i < n]
+            if len(specs) < len(i_list):
+                skipped = ",".join(str(i) for i in i_list if i >= n)
+                print(f"skipping i={skipped} at n={n}: --i exponents out of range",
+                      file=sys.stderr)
         else:
             specs = [(CurveSpec, i) for i in range(1, n)]
         for make, what in specs:
@@ -236,17 +250,17 @@ def _cmd_sweep(args) -> int:
     if not jsonl:
         out.writerow(header)
     mismatch = False
-    for spec in itertools.chain(first, rows):
-        tower = spec.tower
-        rep, oracle = _count_and_oracle(spec, args.limit)
-        i_cell = ";".join(str(i) for _, i in spec.terms)
-        a_cell = ";".join(str(a) for a, _ in spec.terms)
-        if oracle != rep.closed_form:
-            mismatch = True
-        record = [tower.p, tower.s, tower.n, i_cell, a_cell, rep.trace_lambda,
-                  rep.closed_form, oracle, rep.bound_lower, rep.bound_upper,
-                  rep.classification]
-        with _no_digit_limit():
+    with _no_digit_limit():
+        for spec in itertools.chain(first, rows):
+            tower = spec.tower
+            rep, oracle = _count_and_oracle(spec, args.limit)
+            i_cell = ";".join(str(i) for _, i in spec.terms)
+            a_cell = ";".join(str(a) for a, _ in spec.terms)
+            if oracle != rep.closed_form:
+                mismatch = True
+            record = [tower.p, tower.s, tower.n, i_cell, a_cell, rep.trace_lambda,
+                      rep.closed_form, oracle, rep.bound_lower, rep.bound_upper,
+                      rep.classification]
             if jsonl:
                 line = dict([("schemaVersion", SCHEMA_VERSION)] + list(zip(header, record)))
                 print(json.dumps(line))

@@ -31,17 +31,28 @@ from .fields import FieldTower, Record, tau_power
 
 
 class _Spec(Record):
-    """What both specs share: Tr(lambda), computed on first read and kept.
-    It is not a field, so a spec that has read it compares, hashes, prints
-    and copies like a fresh one; a lambda in F_q still needs no modulus."""
+    """What both specs share: Tr(lambda), the key of the term multiset and
+    its profile (see _profile), each computed on first read and kept.  None
+    is a field, so a spec that has read them compares, hashes, prints,
+    pickles and copies like a fresh one; a lambda in F_q still needs no
+    modulus."""
 
-    _trace = None
+    _trace = _key = _held_profile = None
 
     @property
     def trace_lambda(self) -> int:
         if self._trace is None:
             object.__setattr__(self, "_trace", self.tower.trace(self.lam))
         return self._trace
+
+    @property
+    def multiset_key(self) -> tuple:
+        """(p, s, n, terms in sorted order): one key for every ordering of the
+        terms, under which the profile and the oracle's fibers are kept."""
+        if self._key is None:
+            t = self.tower
+            object.__setattr__(self, "_key", (t.p, t.s, t.n, tuple(sorted(self.terms))))
+        return self._key
 
 
 class CurveSpec(_Spec):
@@ -147,6 +158,8 @@ def count_qf_solutions(tower: FieldTower, n: int, v: int, delta_char: int, alpha
     if delta_char not in (-1, 1):
         raise ValueError("delta_char must be +1 or -1")
     q = tower.q
+    if not 0 <= alpha < q:
+        raise ValueError(f"alpha={alpha} is not in 0..q-1 = 0..{q - 1}")
     if v == n:  # zero form
         return q ** n if alpha == 0 else 0
     if (n + v) % 2 == 0:
@@ -198,19 +211,29 @@ def term_invariants(t: FieldTower, n: int, a: int, i: int) -> Tuple[int, int, in
 _PROFILES: dict = {}
 
 
-def _profile(t: FieldTower, terms) -> tuple:
-    """The one pass over the terms, kept in _PROFILES by (p, s, n, terms) in
-    spec order (the X and Y indices follow it): all that the count, the
-    classifiers, weil_bounds and hypersurface_invariants read and that does
-    not depend on lambda, as ((a, i, d, l) per term, R, chi_delta, chi_arg,
-    exact, D1, D2, WeilBounds).  chi_arg is the product of the terms' chi
-    arguments, chi_delta = (prod_j sign_j) chi(chi_arg) the discriminant
-    character of the direct sum of the term forms, and exact says i_j = d_j
-    for every j in Y."""
-    key = (t.p, t.s, t.n, terms)
-    profile = _PROFILES.get(key)
-    if profile is not None:
-        return profile
+def _profile(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
+    """The one pass over the terms: all that the count, the classifiers,
+    weil_bounds and hypersurface_invariants read and that depends on neither
+    lambda nor the order of the terms, as ((a, i, d, l) per term in sorted
+    order, R, chi_delta, chi_arg, exact, D1, D2, WeilBounds, reports).
+    chi_arg is the product of the terms' chi arguments, chi_delta =
+    (prod_j sign_j) chi(chi_arg) the discriminant character of the direct
+    sum of the term forms, and exact says i_j = d_j for every j in Y.
+    reports holds the CountReport of each (Tr(lambda), kind of spec) counted
+    so far: a count depends on lambda only through its trace.  Kept in
+    _PROFILES under the spec's multiset_key, and by the spec itself once
+    read."""
+    profile = spec._held_profile
+    if profile is None:
+        key = spec.multiset_key
+        profile = _PROFILES.get(key)
+        if profile is None:
+            profile = _PROFILES[key] = _profile_compute(spec.tower, key[3])
+        object.__setattr__(spec, "_held_profile", profile)
+    return profile
+
+
+def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
     q, n, p, s = t.q, t.n, t.p, t.s
     rows = []
     R = I = D1 = D2 = 0
@@ -236,20 +259,22 @@ def _profile(t: FieldTower, terms) -> tuple:
     if (dev * dev == square) == half:
         raise RuntimeError("half-integral flag disagrees with the Weil deviation")
     chi_delta = signs * t.quadratic_character(chi_arg)
-    profile = _PROFILES[key] = (tuple(rows), R, chi_delta, chi_arg, exact, D1, D2,
-                                WeilBounds(center - dev, center + dev, half))
-    return profile
+    return (tuple(rows), R, chi_delta, chi_arg, exact, D1, D2,
+            WeilBounds(center - dev, center + dev, half), {})
 
 
 def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
-    """Built on request from the profile's per-term rows: the count and the
-    classifiers need none of its F_q products, so the profile keeps none."""
+    """Built on request in the order of the spec's terms, each term's d and l
+    read from the profile's rows: the count and the classifiers need none of
+    its F_q products, so the profile keeps none."""
     t = spec.tower
     n, p = t.n, t.p
-    rows, *_, D1, D2, _ = _profile(t, spec.terms)
+    rows, *_, D1, D2, _, _ = _profile(spec)
+    d_and_l = {(a, i): (d, l) for a, i, d, l in rows}
     X, Y = [], []
     L1 = A1 = A2 = 1
-    for j, (a, _, d, l) in enumerate(rows):
+    for j, (a, i) in enumerate(spec.terms):
+        d, l = d_and_l[a, i]
         if l % p:
             X.append(j)
             L1 = L1 * pow(l, d, p) % p  # an F_p element, so integer arithmetic
@@ -265,26 +290,35 @@ def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     """q^rn +/- (q-1) q^((nr+2I)/2); when the deviation is irrational (odd
     nr with p^s not a square, so s(nr+2I) odd) the floor is stored and the
     bounds are flagged half_integral (the floor is valid for integer counts)."""
-    return _profile(spec.tower, spec.terms)[7]
+    return _profile(spec)[7]
 
 
 def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
     """count_hypersurface for either kind of spec; classify is the
-    module-level classifier of that kind, which must name the same end."""
-    t = spec.tower
-    rows, R, chi_delta, _, _, _, _, bounds = _profile(t, spec.terms)
+    module-level classifier of that kind, which must name the same end.  The
+    report of each (term multiset, Tr(lambda), kind) is computed and
+    cross-checked once, kept in the profile, and returned to every later
+    spec with those inputs."""
+    rows, R, chi_delta, _, _, _, _, bounds, reports = _profile(spec)
     trl = spec.trace_lambda
+    kind = type(spec)
+    report = reports.get((trl, kind))
+    if report is not None:
+        return report
+    t = spec.tower
     nr = t.n * len(rows)
     count = t.q * count_qf_solutions(t, nr, nr - R, chi_delta, trl)
     branch = "odd" if R % 2 else "even"
-    if isinstance(spec, CurveSpec):
+    if kind is CurveSpec:
         branch = ("multiple-" if rows[0][3] % t.p == 0 else "coprime-") + branch
     lower, upper, half = bounds
     classification = ("Maximal" if count == upper else
                       "Minimal" if count == lower else "Neither")
     if classification != classify(spec):
         raise RuntimeError("condition bundle disagrees with bounds")
-    return CountReport(count, trl, lower, upper, classification, branch, half, None)
+    report = reports[trl, kind] = CountReport(count, trl, lower, upper, classification,
+                                              branch, half, None)
+    return report
 
 
 def count_curve(spec: CurveSpec) -> CountReport:
@@ -333,7 +367,7 @@ def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
     """
     t = spec.tower
     n, s = t.n, t.s
-    rows, R, _, chi_arg, exact, D1, D2, _ = _profile(t, spec.terms)
+    rows, R, _, chi_arg, exact, D1, D2, _, _ = _profile(spec)
     r = len(rows)
     trace_zero = spec.trace_lambda == 0
     nr = n * r
@@ -348,6 +382,11 @@ def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
 
 
 def _label(spec: Union[CurveSpec, HypersurfaceSpec]) -> str:
+    """The classification of the spec's count report when one is kept, else
+    that of the condition pass."""
+    report = _profile(spec)[8].get((spec.trace_lambda, type(spec)))
+    if report is not None:
+        return report.classification
     end = _attainment(spec)[-1]
     return _LABELS[end and end[3]]
 

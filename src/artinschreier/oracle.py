@@ -39,8 +39,8 @@ ValueHistogram = Dict[int, int]
 _CHUNK = 1 << 18
 
 # histograms by (p, s, n, i, a), y^q - y counts by (p, s, n), convolution
-# fibers by (p, s, n, sorted terms) as (fibers read, conv, last) from
-# _fiber_entry; towers are cached singletons
+# fibers by the spec's multiset_key (p, s, n, sorted terms) as (fibers read,
+# conv, last) from _fiber_entry; towers are cached singletons
 _HIST_CACHE: dict = {}
 _IMAGE_CACHE: dict = {}
 _FIBER_CACHE: dict = {}
@@ -255,12 +255,12 @@ def _read_fiber(spec: CurveSpec | HypersurfaceSpec, limit: int) -> int:
     per-term histograms, from _FIBER_CACHE; a fiber not read before costs q
     products.  Refuses when q^n > limit, also on a cache hit."""
     t = spec.tower
-    check_power_limit(t.p, t.s * t.n, limit)
-    terms = spec.terms
-    key = (t.p, t.s, t.n, tuple(sorted(terms)))
+    if t.ext_card > limit:
+        check_power_limit(t.p, t.s * t.n, limit)
+    key = spec.multiset_key
     entry = _FIBER_CACHE.get(key)
     if entry is None:
-        entry = _FIBER_CACHE[key] = _fiber_entry(t, terms, limit)
+        entry = _FIBER_CACHE[key] = _fiber_entry(t, spec.terms, limit)
     fibers, conv, last = entry
     c = spec.trace_lambda
     fiber = fibers.get(c)

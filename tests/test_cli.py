@@ -197,6 +197,8 @@ def test_huge_p_answered_or_refused_fast(capsys):
     ["sweep", "--p", "3", "--n-max", "3", "--lambdas", "bogus"],
     ["sweep", "--p", "3", "--n-max", "3", "--terms", "0:1"],
     ["sweep", "--p", "3", "--n-max", "3", "--terms", "3:1"],
+    ["sweep", "--p", "3", "--n-max", "3", "--i", "0"],
+    ["sweep", "--p", "3", "--n-max", "3", "--i", "2,-1"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -347,6 +349,18 @@ def test_sweep_terms_skips_small_n(capsys):
     assert len(rows) == 1
     assert rows[0]["n"] == "4" and rows[0]["i_list"] == "3"
     assert rows[0]["a_list"] == "1"
+
+
+def test_sweep_i_skips_small_n(capsys):
+    code, out, err = _run(capsys, ["sweep", "--p", "3", "--n-max", "4", "--i", "3,5"])
+    assert code == 0
+    assert err == ("skipping i=3,5 at n=2: --i exponents out of range\n"
+                   "skipping i=3,5 at n=3: --i exponents out of range\n"
+                   "skipping i=5 at n=4: --i exponents out of range\n")
+    # the rows are those of the exponents below n alone
+    assert out == _run(capsys, ["sweep", "--p", "3", "--n-min", "4", "--n-max", "4",
+                                "--i", "3"])[1]
+    assert out.count("\n") == 2
 
 
 def test_sweep_basis_lambdas(capsys):

@@ -526,6 +526,80 @@ def test_term_profile_built_once_per_terms(monkeypatch):
     assert hypersurface_invariants(_hyper(3, 1, 6, terms))[:2] == ((1,), (0, 2))
     assert hypersurface_invariants(permuted)[:2] == ((0,), (1, 2))
     assert count_hypersurface(HypersurfaceSpec(t, list(terms), other)).closed_form == base
+    # every ordering of the multiset reads the one profile
+    assert calls == []
+
+
+def _lambdas_by_trace(t, seed):
+    """Two lambdas for each trace in F_q."""
+    rng, by_trace = random.Random(seed), {}
+    while len(by_trace) < t.q or min(map(len, by_trace.values())) < 2:
+        lam = t.random_element(rng)
+        by_trace.setdefault(t.trace(lam), []).append(lam)
+    return {c: lams[:2] for c, lams in by_trace.items()}
+
+
+def test_count_computed_once_per_multiset_trace_and_kind(monkeypatch):
+    from artinschreier import counting
+
+    calls = []
+    real = counting.count_qf_solutions
+
+    def counted(t, n, v, delta_char, alpha):
+        calls.append(alpha)
+        return real(t, n, v, delta_char, alpha)
+
+    monkeypatch.setattr(counting, "count_qf_solutions", counted)
+    t = build_tower(3, 1, 4)
+    by_trace = _lambdas_by_trace(t, 151)
+    orderings = [((1, 1), (2, 3), (1, 1)), ((2, 3), (1, 1), (1, 1)), ((1, 1), (1, 1), (2, 3))]
+    specs = [HypersurfaceSpec(t, terms, lam)
+             for terms in orderings for lams in by_trace.values() for lam in lams]
+    specs += [cls(t, what, lam) for cls, what in ((CurveSpec, 1), (HypersurfaceSpec, ((1, 1),)))
+              for lams in by_trace.values() for lam in lams]
+    reports = [(count_curve if isinstance(spec, CurveSpec) else count_hypersurface)(spec)
+               for spec in specs]
+    # one count per trace for each of three inputs: the multiset, and the
+    # term (1, 1) as a curve and as a hypersurface, whose branches differ
+    assert sorted(calls) == sorted(3 * list(by_trace))
+    assert [rep.trace_lambda for rep in reports] == [spec.trace_lambda for spec in specs]
+    # the classifiers read the kept report: no condition pass runs
+    with monkeypatch.context() as patch:
+        patch.setattr(counting, "_attainment", None)
+        for spec, rep in zip(specs, reports):
+            classify = classify_curve if isinstance(spec, CurveSpec) else classify_hypersurface
+            assert classify(type(spec)(*spec)) == rep.classification
+    # every kept report is the one a fresh profile computes
+    monkeypatch.setattr(counting, "_PROFILES", {})
+    for spec, rep in zip(specs, reports):
+        count = count_curve if isinstance(spec, CurveSpec) else count_hypersurface
+        assert count(type(spec)(*spec)) == rep
+
+
+def test_cross_check_runs_on_the_first_count_of_each_input(monkeypatch):
+    from artinschreier import counting
+
+    t = build_tower(3, 1, 4)
+    by_trace = _lambdas_by_trace(t, 157)
+    (_, (lam0, lam0b)), *others = by_trace.items()
+    count_hypersurface(HypersurfaceSpec(t, ((1, 1), (2, 3)), lam0))
+    count_hypersurface(HypersurfaceSpec(t, ((1, 1),), lam0))
+
+    def disagree(spec):
+        return "Disagree"
+
+    monkeypatch.setattr(counting, "classify_curve", disagree)
+    monkeypatch.setattr(counting, "classify_hypersurface", disagree)
+    # a repeat of identical inputs, in another order and with another lambda
+    # of the same trace, reuses its checked report
+    count_hypersurface(HypersurfaceSpec(t, ((2, 3), (1, 1)), lam0b))
+    first_counts = [HypersurfaceSpec(t, ((2, 3), (1, 1)), lams[0]) for _, lams in others]
+    first_counts += [HypersurfaceSpec(t, ((1, 1), (2, 3), (2, 3)), lam0), CurveSpec(t, 1, lam0)]
+    for spec in first_counts:
+        count = count_curve if isinstance(spec, CurveSpec) else count_hypersurface
+        for _ in range(2):  # a refused report is not kept
+            with pytest.raises(RuntimeError, match="disagrees"):
+                count(spec)
 
 
 # -------------------------------------------------------------- validation

@@ -508,6 +508,16 @@ def test_count_qf_solutions_examples():
     assert count_qf_solutions(t, 2, 1, 1, 1) == 6
 
 
+def test_count_qf_solutions_refuses_alpha_outside_fq():
+    # such an alpha was read mod p, or indexed past the F_q tables
+    for (p, s), alphas in [((3, 1), (-1, 3, 4)), ((3, 2), (-1, 9))]:
+        t = build_tower(p, s, 1)
+        for v in (0, 1):  # n + v odd and even
+            for alpha in alphas:
+                with pytest.raises(ValueError, match="not in 0..q-1"):
+                    count_qf_solutions(t, 3, v, 1, alpha)
+
+
 def test_count_qf_solutions_partition():
     for p, s, n in [(3, 1, 2), (3, 1, 5), (5, 1, 3), (3, 2, 2)]:
         t = build_tower(p, s, n)
