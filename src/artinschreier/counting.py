@@ -54,6 +54,18 @@ class _Spec(Record):
             object.__setattr__(self, "_key", (t.p, t.s, t.n, tuple(sorted(self.terms))))
         return self._key
 
+    @staticmethod
+    def _checked_lambda(tower: FieldTower, lam) -> tuple:
+        """lam as a tuple of n F_q codes, else ValueError."""
+        lam = tuple(lam)
+        if len(lam) != tower.n:
+            raise ValueError("lambda has the wrong number of coefficients")
+        ordered = sorted(lam)  # one builtin call, where min and max take two
+        if ordered[0] < 0 or ordered[-1] >= tower.q:
+            bad = next(c for c in lam if not 0 <= c < tower.q)
+            raise ValueError(f"lambda coefficient {bad} is not in 0..q-1 = 0..{tower.q - 1}")
+        return lam
+
 
 class CurveSpec(_Spec):
     tower: FieldTower
@@ -61,15 +73,9 @@ class CurveSpec(_Spec):
     lam: tuple
 
     def __new__(cls, tower: FieldTower, i: int, lam: tuple):
+        lam = cls._checked_lambda(tower, lam)
         if not 0 < i < tower.n:
             raise ValueError(f"need 0 < i < n, got i={i}, n={tower.n}")
-        lam = tuple(lam)
-        if len(lam) != tower.n:
-            raise ValueError("lambda has the wrong number of coefficients")
-        ordered = sorted(lam)  # one builtin call, where min and max take two
-        if ordered[0] < 0 or ordered[-1] >= tower.q:
-            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
-            raise ValueError(f"lambda coefficient {bad} is not in 0..q-1 = 0..{tower.q - 1}")
         return tuple.__new__(cls, (tower, i, lam))
 
     @property
@@ -84,20 +90,14 @@ class HypersurfaceSpec(_Spec):
     lam: tuple
 
     def __new__(cls, tower: FieldTower, terms: tuple, lam: tuple):
-        terms, lam = tuple(map(tuple, terms)), tuple(lam)
+        terms, lam = tuple(map(tuple, terms)), cls._checked_lambda(tower, lam)
         if len(terms) < 1:
             raise ValueError("need at least one term")
         for a, i in terms:
-            if a == 0 or not 0 < a < tower.q:
+            if not 0 < a < tower.q:
                 raise ValueError(f"coefficient a={a} is not in F_q*")
             if not 0 < i < tower.n:
                 raise ValueError(f"need 0 < i_j < n, got i_j={i}, n={tower.n}")
-        if len(lam) != tower.n:
-            raise ValueError("lambda has the wrong number of coefficients")
-        ordered = sorted(lam)  # one builtin call, where min and max take two
-        if ordered[0] < 0 or ordered[-1] >= tower.q:
-            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
-            raise ValueError(f"lambda coefficient {bad} is not in 0..q-1 = 0..{tower.q - 1}")
         return tuple.__new__(cls, (tower, terms, lam))
 
     @property
@@ -293,12 +293,11 @@ def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     return _profile(spec)[7]
 
 
-def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
-    """count_hypersurface for either kind of spec; classify is the
-    module-level classifier of that kind, which must name the same end.  The
-    report of each (term multiset, Tr(lambda), kind) is computed and
-    cross-checked once, kept in the profile, and returned to every later
-    spec with those inputs."""
+def _count(spec: Union[CurveSpec, HypersurfaceSpec]) -> CountReport:
+    """count_hypersurface for either kind of spec.  The report of each (term
+    multiset, Tr(lambda), kind) is computed once, its label cross-checked
+    against the condition pass, kept in the profile, and returned to every
+    later spec with those inputs."""
     rows, R, chi_delta, _, _, _, _, bounds, reports = _profile(spec)
     trl = spec.trace_lambda
     kind = type(spec)
@@ -314,7 +313,8 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec], classify) -> CountReport:
     lower, upper, half = bounds
     classification = ("Maximal" if count == upper else
                       "Minimal" if count == lower else "Neither")
-    if classification != classify(spec):
+    end = _attainment(spec)[-1]
+    if classification != _LABELS[end and end[3]]:
         raise RuntimeError("condition bundle disagrees with bounds")
     report = reports[trl, kind] = CountReport(count, trl, lower, upper, classification,
                                               branch, half, None)
@@ -335,7 +335,7 @@ def count_curve(spec: CurveSpec) -> CountReport:
     with no (-1)^d factor in the multiple branches (e.g. i = 2, n = 6, p = 3
     attains the upper bound 1215, not the lower).
     """
-    return _count(spec, classify_curve)
+    return _count(spec)
 
 
 def count_hypersurface(spec: HypersurfaceSpec) -> CountReport:
@@ -350,20 +350,20 @@ def count_hypersurface(spec: HypersurfaceSpec) -> CountReport:
               N = q^rn + chi((-1)^((R-1)/2) Tr(lam) delta) q^(rn - (R-1)/2)
                                                 otherwise.
     """
-    return _count(spec, classify_hypersurface)
+    return _count(spec)
 
 
 _LABELS = {1: "Maximal", -1: "Minimal", None: "Neither"}
 
 
 def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
-    """The condition pass of both classifiers: (Tr(lambda) = 0, nr even, D1,
-    D2, i_j = d_j for every j in Y, end); end is None, or (sR mod 4,
-    tauFactor, chiSign, sign) when a bound is attained.  The sign is a
-    Gauss-sum derivation: tauFactor is stated here, and chiSign writes its
-    prefactor (-1)^((n+1)|Y|) out instead of taking the term signs or the
-    count's chi(delta), so the count's cross-check compares it with the
-    quadric count.
+    """The condition pass of the detail classifiers and the count's
+    cross-check: (Tr(lambda) = 0, nr even, D1, D2, i_j = d_j for every j in
+    Y, end); end is None, or (sR mod 4, tauFactor, chiSign, sign) when a
+    bound is attained.  The sign is a Gauss-sum derivation: tauFactor is
+    stated here, and chiSign writes its prefactor (-1)^((n+1)|Y|) out
+    instead of taking the term signs or the count's chi(delta), so the
+    cross-check compares it with the quadric count.
     """
     t = spec.tower
     n, s = t.n, t.s
@@ -381,16 +381,6 @@ def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
     return True, True, 0, D2, True, ((s * R) % 4, tau_factor, chi_sign, tau_factor * chi_sign)
 
 
-def _label(spec: Union[CurveSpec, HypersurfaceSpec]) -> str:
-    """The classification of the spec's count report when one is kept, else
-    that of the condition pass."""
-    report = _profile(spec)[8].get((spec.trace_lambda, type(spec)))
-    if report is not None:
-        return report.classification
-    end = _attainment(spec)[-1]
-    return _LABELS[end and end[3]]
-
-
 def classify_curve_detail(spec: CurveSpec) -> Tuple[str, dict]:
     """Classification with the condition bundle that decided it.
 
@@ -406,7 +396,7 @@ def classify_curve_detail(spec: CurveSpec) -> Tuple[str, dict]:
 
 
 def classify_curve(spec: CurveSpec) -> str:
-    return _label(spec)
+    return _count(spec).classification
 
 
 def classify_hypersurface_detail(spec: HypersurfaceSpec) -> Tuple[str, dict]:
@@ -433,4 +423,4 @@ def classify_hypersurface_detail(spec: HypersurfaceSpec) -> Tuple[str, dict]:
 
 
 def classify_hypersurface(spec: HypersurfaceSpec) -> str:
-    return _label(spec)
+    return _count(spec).classification

@@ -474,25 +474,23 @@ class FieldTower:
                 acc[k] = self.badd(acc[k], self.bmul(c, m))
 
     def _bfrob(self, a: int) -> int:
-        """a^p, s > 1: one table lookup when the log tables exist."""
-        if self._exp is None:
-            return self.bpow(a, self.p)
-        return self._exp[self._log[a] * self.p % (self.q - 1)] if a else 0
+        """a^p, s > 1."""
+        return self.bpow(a, self.p)
 
     def binv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
         return self.bpow(a, self.q - 2)
 
     def bpow(self, a: int, e: int) -> int:
+        """a^e: one log/exp lookup when the log tables exist, else
+        square-and-multiply; a negative e inverts a first."""
         if e < 0:
             return self.bpow(self.binv(a), -e)
         if self.s == 1:
             return pow(a, e, self.p)
+        if self._exp is not None:
+            return self._exp[self._log[a] * e % (self.q - 1)] if a else 0 ** e
         r = a if e else 1
         for bit in bin(e)[3:]:
             r = self.bmul(r, r)
@@ -586,23 +584,16 @@ class FieldTower:
         return tuple(self.bmul(a, c) for c in x)
 
     def xpow(self, x: ExtElement, e: int) -> ExtElement:
+        """x^e by the ring's square-and-multiply; a negative e is reduced mod
+        q^n - 1, so zero raised to it raises ZeroDivisionError."""
         if e < 0:
-            return self.xpow(self.xinv(x), -e)
-        r = x if e else self.one
-        for bit in bin(e)[3:]:
-            r = self.xmul(r, r)
-            if bit == "1":
-                r = self.xmul(r, x)
-        return r
-
-    def xinv(self, x: ExtElement) -> ExtElement:
-        if x == self.zero:
-            raise ZeroDivisionError("inverse of zero in F_{q^n}")
-        return self.xpow(x, self.ext_card - 2)
-
-    def embed(self, a: int) -> ExtElement:
-        """F_q into F_{q^n} as a constant polynomial."""
-        return tuple([a] + [0] * (self.n - 1))
+            if not any(x):
+                raise ZeroDivisionError("inverse of zero in F_{q^n}")
+            e %= self.ext_card - 1
+        if not e:
+            return self.one
+        res = self._ring.pow_poly(x, e, self._ext_modulus or self._extension())
+        return tuple(res + [0] * (self.n - len(res)))
 
     def frobenius(self, x: ExtElement, k: int = 1) -> ExtElement:
         """x^(q^k); k is reduced mod n.  The image is sum_j x_j row_j over
@@ -639,10 +630,6 @@ class FieldTower:
                 acc = self.badd(acc, self.bmul(c, t))
         return acc
 
-    def abs_trace(self, x: ExtElement) -> int:
-        """Composition Tr_{F_q/F_p} . Tr, an int in [0, p)."""
-        return self.base_trace_to_prime(self.trace(x))
-
     # ----- enumeration -----
 
     def ext_from_int(self, m: int) -> ExtElement:
@@ -651,9 +638,6 @@ class FieldTower:
             m, c = divmod(m, self.q)
             out.append(c)
         return tuple(out)
-
-    def ext_to_int(self, x: ExtElement) -> int:
-        return sum(c * self.q ** k for k, c in enumerate(x))
 
     def elements(self) -> Iterator:
         """All of F_{q^n} in odometer order, least significant coefficient fastest."""

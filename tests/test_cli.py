@@ -197,6 +197,8 @@ def test_huge_p_answered_or_refused_fast(capsys):
     ["sweep", "--p", "3", "--n-max", "3", "--lambdas", "bogus"],
     ["sweep", "--p", "3", "--n-max", "3", "--terms", "0:1"],
     ["sweep", "--p", "3", "--n-max", "3", "--terms", "3:1"],
+    ["sweep", "--p", "3", "--n-max", "3", "--terms", "1:0"],
+    ["sweep", "--p", "3", "--n-max", "3", "--terms", "1:-2,1:1"],
     ["sweep", "--p", "3", "--n-max", "3", "--i", "0"],
     ["sweep", "--p", "3", "--n-max", "3", "--i", "2,-1"],
 ])
@@ -404,6 +406,18 @@ def test_gauss_check_impossible_tol(capsys):
                                  "--s-list", "1", "--tol", "1e-30"])
     assert code == 2
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["gauss-check", "--p-list", "3,9"], 1),
+    (["gauss-check", "--s-list", "1,0"], 1),
+    (["gauss-check", "--p-list", "3,1000003"], 3),
+])
+def test_gauss_check_refusal_leaves_stdout_empty(capsys, argv, code):
+    # the rows before the refused p or s are computed but never printed
+    got, out, err = _run(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error:" if code == 1 else "refused:")
 
 
 def _capped_address_space():

@@ -362,7 +362,7 @@ def test_curve_theorem_reference():
         for s in (1, 2):
             for n in range(2, 19):
                 t = build_tower(p, s, n)
-                lams = (t.zero, t.embed(1), t.random_element(rng))
+                lams = (t.zero, (1,) + t.zero[1:], t.random_element(rng))
                 for i in range(1, n):
                     for lam in lams:
                         spec = CurveSpec(t, i, lam)
@@ -395,10 +395,11 @@ def test_count_curve_lambda_in_base_field_skips_the_modulus_search():
         assert proc.returncode == 0, proc.stderr
         count, branch, _ = _curve_theorem(t, i, n * lam0 % 3)
         assert json.loads(proc.stdout)["closedForm"] == count
-        spec = CurveSpec(t, i, t.embed(lam0))
+        lam = (lam0,) + t.zero[1:]
+        spec = CurveSpec(t, i, lam)
         assert (count_curve(spec).closed_form, count_curve(spec).branch) == (count, branch)
         classify_curve(spec)
-        classify_hypersurface(HypersurfaceSpec(t, ((1, i), (2, 3)), t.embed(lam0)))
+        classify_hypersurface(HypersurfaceSpec(t, ((1, i), (2, 3)), lam))
     assert t._ext_modulus is None and t._tr_mono is None
 
 
@@ -457,7 +458,7 @@ def test_hypersurface_counts_far_past_the_grid():
 def test_trace_builds_the_modulus_on_first_need():
     lazy, eager = FieldTower(3, 1, 30), FieldTower(3, 1, 30)
     eager.ext_modulus  # the search runs first, before any count
-    count_curve(CurveSpec(lazy, 7, lazy.embed(2)))
+    count_curve(CurveSpec(lazy, 7, (2,) + lazy.zero[1:]))
     assert lazy._ext_modulus is None
     lam = (1, 2) + (0,) * 28
     assert lazy.trace(lam) == eager.trace(lam)
@@ -585,11 +586,15 @@ def test_cross_check_runs_on_the_first_count_of_each_input(monkeypatch):
     count_hypersurface(HypersurfaceSpec(t, ((1, 1), (2, 3)), lam0))
     count_hypersurface(HypersurfaceSpec(t, ((1, 1),), lam0))
 
-    def disagree(spec):
-        return "Disagree"
+    real = counting._attainment
 
-    monkeypatch.setattr(counting, "classify_curve", disagree)
-    monkeypatch.setattr(counting, "classify_hypersurface", disagree)
+    def disagree(spec):
+        # the attained end turned around: an attained bound reads Neither,
+        # and Neither reads Maximal
+        *conditions, end = real(spec)
+        return (*conditions, None if end else (0, 1, 1, 1))
+
+    monkeypatch.setattr(counting, "_attainment", disagree)
     # a repeat of identical inputs, in another order and with another lambda
     # of the same trace, reuses its checked report
     count_hypersurface(HypersurfaceSpec(t, ((2, 3), (1, 1)), lam0b))
@@ -600,6 +605,31 @@ def test_cross_check_runs_on_the_first_count_of_each_input(monkeypatch):
         for _ in range(2):  # a refused report is not kept
             with pytest.raises(RuntimeError, match="disagrees"):
                 count(spec)
+
+
+def test_classify_reads_the_count_report(monkeypatch):
+    from artinschreier import counting
+
+    t = build_tower(3, 1, 6)
+    by_trace = _lambdas_by_trace(t, 163)
+    runs = [(CurveSpec, 2, classify_curve, count_curve),
+            (HypersurfaceSpec, ((1, 1), (2, 2)), classify_hypersurface, count_hypersurface)]
+    for cls, what, classify, count in runs:
+        labels = []
+        for lam in (by_trace[0][0], by_trace[1][0]):  # an attained bound, then Neither
+            monkeypatch.setattr(counting, "_PROFILES", {})
+            spec = cls(t, what, lam)
+            labels.append(classify(spec))
+            # the classification made the count and kept its one report
+            reports = counting._profile(spec)[8]
+            assert list(reports) == [(spec.trace_lambda, cls)]
+            with monkeypatch.context() as patch:
+                calls = []
+                patch.setattr(counting, "count_qf_solutions", lambda *args: calls.append(args))
+                rep = count(cls(t, what, lam))
+            assert calls == [] and rep is reports[spec.trace_lambda, cls]
+            assert rep.classification == labels[-1]
+        assert labels[0] != "Neither" and labels[1] == "Neither", cls.__name__
 
 
 # -------------------------------------------------------------- validation

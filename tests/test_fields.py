@@ -242,7 +242,7 @@ def test_extension_enumeration_roundtrip():
     assert len(elems) == 27
     assert len(set(elems)) == 27
     for k, x in enumerate(elems):
-        assert t.ext_to_int(x) == k
+        assert sum(c * t.q ** j for j, c in enumerate(x)) == k
         assert t.ext_from_int(k) == x
 
 
@@ -272,35 +272,96 @@ def test_extension_field_axioms_sampled():
             assert t.xmul(x, y) == t.xmul(y, x)
             assert t.xadd(x, t.xneg(x)) == t.zero
             if x != t.zero:
-                assert t.xmul(x, t.xinv(x)) == t.one
+                assert t.xmul(x, t.xpow(x, -1)) == t.one
 
 
 def test_powers_use_no_extra_products():
     # y^3 = y^2 y and y^5 = (y^2)^2 y: no product with one and no square
-    # after the last bit
+    # after the last bit, in xpow (the ring's pow_poly) and in bpow on a base
+    # field without log tables (q = 3^13 > 2^20)
     t = FieldTower(3, 1, 4)
-    xmul, calls = t.xmul, []
-    t.xmul = lambda x, y: calls.append((x, y)) or xmul(x, y)
-    y, y2 = (1, 2, 0, 1), xmul((1, 2, 0, 1), (1, 2, 0, 1))
-    assert t.xpow(y, 3) == xmul(y2, y) and calls == [(y, y), (y2, y)]
+    y = (1, 2, 0, 1)
+    y2 = t.xmul(y, y)  # searches the modulus before the products are counted
+    y3, y5 = t.xmul(y2, y), t.xmul(t.xmul(y2, y2), y)
+    ring, calls = t._ring, []
+    mul_mod = ring.mul_mod
+
+    def counted(f, g, mod):
+        calls.append(tuple(tuple(h) + (0,) * (t.n - len(h)) for h in (f, g)))
+        return mul_mod(f, g, mod)
+
+    ring.mul_mod = counted
+    assert t.xpow(y, 3) == y3 and calls == [(y, y), (y2, y)]
     calls.clear()
-    assert t.xpow(y, 5) == xmul(xmul(y2, y2), y) and len(calls) == 3
+    assert t.xpow(y, 5) == y5 and len(calls) == 3
     calls.clear()
     assert (t.xpow(y, 1), t.xpow(y, 0)) == (y, t.one) and calls == []
-    t = FieldTower(5, 2, 2)
+    t = FieldTower(3, 13, 1)
     bmul = t.bmul
     t.bmul = lambda a, b: calls.append((a, b)) or bmul(a, b)
     assert t.bpow(7, 3) == bmul(bmul(7, 7), 7) and len(calls) == 2
     calls.clear()
     assert (t.bpow(7, 1), t.bpow(7, 0)) == (7, 1) and calls == []
+    # with log tables a power is one lookup and no product
+    t = FieldTower(5, 2, 2)
+    bmul = t.bmul
+    t.bmul = lambda a, b: calls.append((a, b)) or bmul(a, b)
+    assert (t.bpow(7, 3), t.bpow(7, -2), t.bpow(0, 4), t.bpow(0, 0)) == (
+        bmul(bmul(7, 7), 7), t.binv(bmul(7, 7)), 0, 1)
+    assert calls == []
+
+
+def _pow_by_products(t, a, e):
+    """a^e, e >= 0, by square-and-multiply over the prime tower's polynomial
+    product, which reads no log table."""
+    r = 1
+    for bit in bin(e)[2:]:
+        r = t._bmul_generic(r, r)
+        if bit == "1":
+            r = t._bmul_generic(r, a)
+    return r
+
+
+@pytest.mark.parametrize("ps", [(3, 2), (5, 3), (7, 3), (3, 13)])
+def test_base_powers_agree_with_products(ps):
+    # every element where bpow, binv and _bfrob are log/exp lookups; samples
+    # of q = 3^13 > 2^20, which has no tables
+    t = build_tower(*ps, 1)
+    p, q = t.p, t.q
+    elements = range(q) if q < 1000 else random.Random(29).sample(range(q), 30)
+    for a in elements:
+        for e in (0, 1, 2, p, q - 2, q - 1, q + 3):
+            assert t.bpow(a, e) == _pow_by_products(t, a, e), (ps, a, e)
+        assert t._bfrob(a) == _pow_by_products(t, a, p), (ps, a)
+        if a:
+            inv = _pow_by_products(t, a, q - 2)
+            assert t._bmul_generic(a, inv) == 1
+            assert (t.binv(a), t.bpow(a, -3)) == (inv, _pow_by_products(t, inv, 3)), (ps, a)
+    for power in (lambda: t.binv(0), lambda: t.bpow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            power()
+
+
+@pytest.mark.parametrize("psn", [(3, 1, 5), (3, 2, 3), (5, 1, 4)])
+def test_xpow_negative_exponents(psn):
+    t = build_tower(*psn)
+    for x in itertools.islice(t.elements(), 1, None):  # every nonzero element
+        inv = t.xpow(x, -1)
+        assert t.xmul(x, inv) == t.one, (psn, x)
+    # on the last x, other negative exponents are reduced mod q^n - 1 too
+    assert t.xpow(x, -2) == t.xmul(inv, inv)
+    assert t.xpow(x, -(t.ext_card - 1)) == t.one
+    assert (t.xpow(t.zero, 0), t.xpow(t.zero, 3)) == (t.one, t.zero)
+    with pytest.raises(ZeroDivisionError):
+        t.xpow(t.zero, -1)
 
 
 def test_embed_and_scale():
+    # F_q sits in F_{q^n} as the constant polynomials
     t = build_tower(3, 1, 2)
-    assert t.embed(2) == (2, 0)
     x = (1, 2)
     assert t.xscale(2, x) == (2, 1)
-    assert t.xmul(t.embed(2), x) == t.xscale(2, x)
+    assert t.xmul((2, 0), x) == t.xscale(2, x)
 
 
 # -------------------------------------------------------------- frobenius
@@ -332,7 +393,7 @@ def test_frobenius_order_and_fixed_field():
     for x in t.elements():
         assert t.frobenius(x, t.n) == x
     for a in range(t.q):
-        assert t.frobenius(t.embed(a), 1) == t.embed(a)
+        assert t.frobenius((a, 0, 0), 1) == (a, 0, 0)
 
 
 def test_frobenius_additive_multiplicative():
@@ -419,7 +480,8 @@ def test_abs_trace_matches_power_sum():
                 val = t.xpow(val, t.p)
                 acc = t.xadd(acc, val)
             assert all(c == 0 for c in acc[1:])
-            assert t.abs_trace(x) == t.base_digits(acc[0])[0] % t.p, psn
+            absolute = t.base_trace_to_prime(t.trace(x))
+            assert absolute == t.base_digits(acc[0])[0] % t.p, psn
 
 
 # -------------------------------------------------------------- character
