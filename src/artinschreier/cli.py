@@ -34,27 +34,6 @@ from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower, Primality
 SCHEMA_VERSION = 1
 
 
-def _from_oracle(name: str):
-    """Stand-in for oracle.<name> that imports the oracle module, and with it
-    numpy, on its first call and keeps the function it found there: the
-    counting commands never need either."""
-    found = None
-
-    def call(*args, **kwargs):
-        nonlocal found
-        if found is None:
-            from . import oracle
-            found = getattr(oracle, name)
-        return found(*args, **kwargs)
-    return call
-
-
-oracle_curve = _from_oracle("oracle_curve")
-oracle_hypersurface = _from_oracle("oracle_hypersurface")
-gauss_sum_numeric = _from_oracle("gauss_sum_numeric")
-gauss_sum_reference = _from_oracle("gauss_sum_reference")
-
-
 class _UsageError(Exception):
     pass
 
@@ -136,10 +115,11 @@ def _spec(args) -> tuple:
     return spec, head + [("lambda", _lambda_str(spec.lam))]
 
 
-def _count_and_oracle(spec, limit: int) -> tuple:
+def _count_and_oracle(spec, limit: int, oracle) -> tuple:
+    """(report, oracle count); the caller imports oracle, and numpy with it."""
     if isinstance(spec, CurveSpec):
-        return count_curve(spec), oracle_curve(spec, limit=limit)
-    return count_hypersurface(spec), oracle_hypersurface(spec, limit=limit)
+        return count_curve(spec), oracle.oracle_curve(spec, limit=limit)
+    return count_hypersurface(spec), oracle.oracle_hypersurface(spec, limit=limit)
 
 
 def _cmd_count(args) -> int:
@@ -159,11 +139,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec, head = _spec(args)
-    rep, oracle = _count_and_oracle(spec, args.limit)
-    match = oracle == rep.closed_form
-    _print_json(head + _report_items(rep) + [("oracle", oracle), ("match", match)])
+    from . import oracle
+    rep, value = _count_and_oracle(spec, args.limit, oracle)
+    match = value == rep.closed_form
+    _print_json(head + _report_items(rep) + [("oracle", value), ("match", match)])
     if not match:
-        print(f"mismatch: closed_form={rep.closed_form} oracle={oracle}",
+        print(f"mismatch: closed_form={rep.closed_form} oracle={value}",
               file=sys.stderr)
         return 2
     return 0
@@ -246,15 +227,16 @@ def _cmd_sweep(args) -> int:
     if not jsonl:
         print(",".join(header))
     mismatch = False
+    from . import oracle
     with _no_digit_limit():
         for spec in itertools.chain(first, rows):
             tower = spec.tower
-            rep, oracle = _count_and_oracle(spec, args.limit)
+            rep, value = _count_and_oracle(spec, args.limit, oracle)
             i_cell = ";".join(str(i) for _, i in spec.terms)
             a_cell = ";".join(str(a) for a, _ in spec.terms)
-            mismatch = mismatch or oracle != rep.closed_form
+            mismatch = mismatch or value != rep.closed_form
             record = [tower.p, tower.s, tower.n, i_cell, a_cell, rep.trace_lambda,
-                      rep.closed_form, oracle, rep.bound_lower, rep.bound_upper,
+                      rep.closed_form, value, rep.bound_lower, rep.bound_upper,
                       rep.classification]
             if jsonl:
                 line = dict([("schemaVersion", SCHEMA_VERSION)] + list(zip(header, record)))
@@ -267,10 +249,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_gauss_check(args) -> int:
     # all rows are computed before the first is printed: a refusal leaves stdout empty
     rows = []
+    from . import oracle
     for p in _int_list(args.p_list, "--p-list"):
         for s in _int_list(args.s_list, "--s-list"):
-            numeric = gauss_sum_numeric(p, s)  # refuses p and s before the reference forms q
-            reference = gauss_sum_reference(p, s)
+            numeric = oracle.gauss_sum_numeric(p, s)  # refuses a huge q first
+            reference = oracle.gauss_sum_reference(p, s)
             rows.append((p, s, reference, abs(numeric - reference)))
     for p, s, reference, err in rows:
         print(f"p={p} s={s} reference=({reference.real:.9f},{reference.imag:.9f}) "

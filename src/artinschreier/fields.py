@@ -392,8 +392,8 @@ class FieldTower:
             self._sub = _digitwise_table(p, s, lambda x, y: x - y)
         if s == 1 or q > _LOG_TABLE_MAX_Q:
             return
-        # discrete-log tables over a primitive element; bpow runs on
-        # _bmul_generic until they exist
+        # discrete-log tables over a primitive element; bpow runs on the
+        # prime tower's xpow until they exist
         factors = _prime_factors(q - 1)
         g = next(a for a in range(2, q)
                  if all(self.bpow(a, (q - 1) // ell) != 1 for ell in factors))
@@ -483,20 +483,15 @@ class FieldTower:
         return self.bpow(a, self.q - 2)
 
     def bpow(self, a: int, e: int) -> int:
-        """a^e: one log/exp lookup when the log tables exist, else
-        square-and-multiply; a negative e inverts a first."""
+        """a^e: one log/exp lookup when the log tables exist, else the prime
+        tower's xpow on the digits of a; a negative e inverts a first."""
         if e < 0:
             return self.bpow(self.binv(a), -e)
         if self.s == 1:
             return pow(a, e, self.p)
         if self._exp is not None:
             return self._exp[self._log[a] * e % (self.q - 1)] if a else 0 ** e
-        r = a if e else 1
-        for bit in bin(e)[3:]:
-            r = self.bmul(r, r)
-            if bit == "1":
-                r = self.bmul(r, a)
-        return r
+        return self.base_from_digits(self._prime.xpow(tuple(self.base_digits(a)), e))
 
     def check_base_rows(self, rows: Sequence) -> None:
         """Refuse with ValueError any entry of rows outside the F_q codes

@@ -46,14 +46,6 @@ _IMAGE_CACHE: dict = {}
 _FIBER_CACHE: dict = {}
 
 
-def _g_powers(t: FieldTower, count: int) -> list:
-    """g^0, ..., g^(count-1) for the F_q generator g, whose code is p."""
-    powers = [1]
-    for _ in range(count - 1):
-        powers.append(t.bmul(powers[-1], t.p))
-    return powers
-
-
 def _spread_over_digits(vals, s: int) -> np.ndarray:
     """vals[j][k][w] holds the entry for g^w; returns the ns x ns matrix with
     entry vals[j][k][v + v'] at (j s + v, k s + v'), the F_p basis of F_q^n
@@ -79,7 +71,8 @@ def _frobenius_fp(t: FieldTower, i: int) -> np.ndarray:
     i-th power of that of x -> x^q, whose row (u, v) holds the digits of
     g^v (t^u)^q (the map fixes g in F_q), read from FieldTower.frobenius."""
     monomials = map(tuple, np.eye(t.n, dtype=int).tolist())
-    images = [t.xscale(g, t.frobenius(t_u, 1)) for t_u in monomials for g in _g_powers(t, t.s)]
+    images = [t.xscale(t.bpow(t.p, v), t.frobenius(t_u, 1))
+              for t_u in monomials for v in range(t.s)]
     digits = np.array(images, dtype=np.int64)[:, :, None] // t.p ** np.arange(t.s) % t.p
     return _mat_pow(digits.reshape(len(images), -1), i, t.p)
 
@@ -94,7 +87,7 @@ def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
     for j = (u, v), l = (m, w)."""
     t = tower
     n, s, p = t.n, t.s, t.p
-    scales = [t.bmul(a, g) for g in _g_powers(t, 2 * s - 1)]
+    scales = [t.bmul(a, t.bpow(p, k)) for k in range(2 * s - 1)]
     by_degree = np.array([[t.bmul(c, tr) for c in scales] for tr in t.monomial_traces()],
                          dtype=np.int64)
     pairing = _spread_over_digits(by_degree[np.add.outer(np.arange(n), np.arange(n))], s)
@@ -309,7 +302,9 @@ def gauss_sum_numeric(p: int, s: int) -> complex:
 def gauss_sum_reference(p: int, s: int) -> complex:
     """-(-tau)^s sqrt(q) with tau = 1 for p = 1 (mod 4) and i for p = 3 (mod 4)."""
     tau = 1 if p % 4 == 1 else 1j
-    return -((-tau) ** s) * math.sqrt(p ** s)
+    # sqrt(q) as sqrt(p^(s mod 2)) p^(s // 2), so no power of p beyond the
+    # float range is ever rooted
+    return -((-tau) ** (s % 4)) * (math.sqrt(p ** (s % 2)) * p ** (s // 2))
 
 
 def char_sum_numeric(tower: FieldTower, H) -> complex:
@@ -324,7 +319,7 @@ def char_sum_numeric(tower: FieldTower, H) -> complex:
         raise ValueError("H must be n x n")
     t.check_base_rows(H)
     check_power_limit(p, t.s * n, 10_000)
-    powers = _g_powers(t, 2 * t.s - 1)
+    powers = [t.bpow(p, k) for k in range(2 * t.s - 1)]
     vals = [[[t.base_trace_to_prime(t.bmul(g, h)) for g in powers] for h in row]
             for row in H]
     counts = _fiber_counts(_spread_over_digits(vals, t.s)[None], p, _CHUNK)

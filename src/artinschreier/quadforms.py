@@ -230,18 +230,16 @@ def find_special_basis(tower: FieldTower) -> list:
 
     beta comes from the F_q-kernel of the map a -> a^q + a^(q^(n-1)) - 2a
     (which always contains F_q; the kernel is at least two-dimensional when
-    p divides n).  The basis is completed greedily with monomials.
+    p divides n).  The basis is completed greedily with monomials: the
+    pivot columns of one row reduction of [beta, 1, t^0, ..., t^(n-1)].
     """
     n, p = tower.n, tower.p
     if n % p != 0:
         raise ValueError("hypothesis violated: p does not divide n")
     two = tower.base_from_int(2)
-    cols = []
-    for k in range(n):
-        mono = tuple(1 if j == k else 0 for j in range(n))
-        img = tower.xsub(tower.xadd(tower.frobenius(mono, 1), tower.frobenius(mono, n - 1)),
-                         tower.xscale(two, mono))
-        cols.append(img)
+    monomials = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
+    cols = [tower.xsub(tower.xadd(tower.frobenius(m, 1), tower.frobenius(m, n - 1)),
+                       tower.xscale(two, m)) for m in monomials]
     # kernel of the n x n matrix whose k-th column is cols[k]: one vector per
     # free column fc, with 1 at fc and minus column fc of the reduced rows at
     # the pivot columns
@@ -256,15 +254,9 @@ def find_special_basis(tower: FieldTower) -> list:
     beta = next((tuple(v) for v in kernel if any(c != 0 for c in v[1:])), None)
     if beta is None:
         raise RuntimeError("kernel contained no element outside F_q")
-    basis = [beta, tower.one]
-    for k in range(n):
-        mono = tuple(1 if j == k else 0 for j in range(n))
-        if fq_matrix_rank(tower, [list(b) for b in basis] + [list(mono)]) > len(basis):
-            basis.append(mono)
-        if len(basis) == n:
-            break
-    fillers = basis[2:]
-    return fillers + [beta, tower.one]
+    vectors = [beta, tower.one] + monomials
+    _, pivots = _row_reduce(tower, [[v[r] for v in vectors] for r in range(n)])
+    return [vectors[c] for c in pivots[2:]] + [beta, tower.one]
 
 
 def char_sum_closed_form(tower: FieldTower, H: Sequence) -> ExactValue:

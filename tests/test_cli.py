@@ -147,7 +147,8 @@ def test_verify_hypersurface_ok(capsys):
 
 
 def test_verify_mismatch_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "oracle_curve", lambda spec, limit=0: 12345)
+    from artinschreier import oracle
+    monkeypatch.setattr(oracle, "oracle_curve", lambda spec, limit=0: 12345)
     code, out, err = _run(capsys, ["verify", "--p", "3", "--n", "2", "--i", "1"])
     assert code == 2
     assert json.loads(out)["match"] is False

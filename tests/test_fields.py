@@ -275,10 +275,11 @@ def test_extension_field_axioms_sampled():
                 assert t.xmul(x, t.xpow(x, -1)) == t.one
 
 
-def test_powers_use_no_extra_products():
+def test_powers_use_no_extra_products(monkeypatch):
     # y^3 = y^2 y and y^5 = (y^2)^2 y: no product with one and no square
     # after the last bit, in xpow (the ring's pow_poly) and in bpow on a base
-    # field without log tables (q = 3^13 > 2^20)
+    # field without log tables (q = 3^13 > 2^20), which is the xpow of the
+    # prime tower (3, 1, 13); zero to a negative power raises there too
     t = FieldTower(3, 1, 4)
     y = (1, 2, 0, 1)
     y2 = t.xmul(y, y)  # searches the modulus before the products are counted
@@ -297,11 +298,17 @@ def test_powers_use_no_extra_products():
     calls.clear()
     assert (t.xpow(y, 1), t.xpow(y, 0)) == (y, t.one) and calls == []
     t = FieldTower(3, 13, 1)
-    bmul = t.bmul
-    t.bmul = lambda a, b: calls.append((a, b)) or bmul(a, b)
-    assert t.bpow(7, 3) == bmul(bmul(7, 7), 7) and len(calls) == 2
+    cube, ring = t.bmul(t.bmul(7, 7), 7), t._prime._ring  # the prime tower is shared
+    mul_mod = ring.mul_mod
+    monkeypatch.setattr(ring, "mul_mod",
+                        lambda f, g, mod: calls.append((f, g)) or mul_mod(f, g, mod))
+    assert t.bpow(7, 3) == cube and len(calls) == 2
     calls.clear()
     assert (t.bpow(7, 1), t.bpow(7, 0)) == (7, 1) and calls == []
+    assert (t.bpow(0, 0), t.bpow(0, 5)) == (1, 0)
+    with pytest.raises(ZeroDivisionError):
+        t.bpow(0, -1)
+    calls.clear()
     # with log tables a power is one lookup and no product
     t = FieldTower(5, 2, 2)
     bmul = t.bmul

@@ -536,6 +536,12 @@ def test_gauss_sum_modulus_and_reference():
             assert abs(g - gauss_sum_reference(p, s)) < 1e-9
 
 
+def test_gauss_sum_reference_beyond_the_float_range_of_q():
+    # q = 3^700 is no float, but sqrt(q) = 3^350 is
+    g = gauss_sum_reference(3, 700)
+    assert g == -float(3 ** 350) and g.imag == 0
+
+
 def test_gauss_sum_refuses_oversize():
     with pytest.raises(EnumerationLimitError) as exc:
         gauss_sum_numeric(3, 13)  # q = 3^13 > 10^6

@@ -499,6 +499,28 @@ def test_find_special_basis_larger_tower():
     assert lhs == t.zero
 
 
+def _greedy_special_basis(t, beta):
+    """The basis completed by monomials one at a time, each kept when it
+    raises the rank of the vectors kept so far: one rank per monomial."""
+    basis = [beta, t.one]
+    for k in range(t.n):
+        mono = tuple(1 if j == k else 0 for j in range(t.n))
+        if fq_matrix_rank(t, [list(b) for b in basis] + [list(mono)]) > len(basis):
+            basis.append(mono)
+        if len(basis) == t.n:
+            break
+    return basis[2:] + [beta, t.one]
+
+
+@pytest.mark.parametrize("psn", [(p, s, n) for p in (3, 5, 7) for s in (1, 2)
+                                 for n in range(p, 16, p)])
+def test_find_special_basis_matches_greedy_rank_loop(psn):
+    t = build_tower(*psn)
+    basis = find_special_basis(t)
+    assert basis == _greedy_special_basis(t, basis[-2])
+    assert fq_matrix_rank(t, [list(b) for b in basis]) == t.n
+
+
 # ------------------------------------------------------------ fiber sizes
 
 
