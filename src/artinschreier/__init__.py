@@ -10,12 +10,10 @@ machinery behind the formulas, and oracles that verify every count
 independently (trace-form fiber counts; a literal scan on tiny towers).
 """
 
-from .counting import (CountReport, CurveSpec, HypersurfaceInvariants,
-                       HypersurfaceSpec, WeilBounds, classify_curve,
-                       classify_curve_detail, classify_hypersurface,
-                       classify_hypersurface_detail, count_curve,
-                       count_hypersurface, eps, hypersurface_invariants,
-                       weil_bounds)
+from .counting import (CountReport, CurveSpec, HypersurfaceSpec, WeilBounds,
+                       classify_curve, classify_curve_detail,
+                       classify_hypersurface, classify_hypersurface_detail,
+                       count_curve, count_hypersurface, eps, weil_bounds)
 from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower,
                      build_tower, tau_power)
 
@@ -24,7 +22,7 @@ __version__ = "0.1.0"
 # bound on first use by __getattr__ below, like the oracle names
 _QUADFORMS_NAMES = (
     "DiagonalizationResult", "ExactValue", "RankCharPrediction",
-    "build_Mni", "build_gram", "char_sum_closed_form",
+    "build_gram", "char_sum_closed_form",
     "congruence_diagonalize", "count_qf_solutions", "det_Mn_integer",
     "find_special_basis", "fq_matrix_rank", "predict_rank_char",
     "rank_and_char",
@@ -33,10 +31,10 @@ _QUADFORMS_NAMES = (
 __all__ = [
     "FieldTower", "build_tower", "tau_power",
     *_QUADFORMS_NAMES,
-    "CountReport", "CurveSpec", "HypersurfaceInvariants", "HypersurfaceSpec",
-    "WeilBounds", "classify_curve", "classify_curve_detail",
-    "classify_hypersurface", "classify_hypersurface_detail", "count_curve",
-    "count_hypersurface", "eps", "hypersurface_invariants", "weil_bounds",
+    "CountReport", "CurveSpec", "HypersurfaceSpec", "WeilBounds",
+    "classify_curve", "classify_curve_detail", "classify_hypersurface",
+    "classify_hypersurface_detail", "count_curve", "count_hypersurface", "eps",
+    "weil_bounds",
     "DEFAULT_LIMIT", "EnumerationLimitError", "char_sum_numeric",
     "gauss_sum_numeric", "gauss_sum_reference", "oracle_curve",
     "oracle_direct", "oracle_hypersurface", "oracle_hypersurface_direct",

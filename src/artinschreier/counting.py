@@ -25,7 +25,7 @@ branches (l = 2 and p is odd).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from .fields import FieldTower, Record, tau_power
 
@@ -119,23 +119,6 @@ class CountReport(Record):
     classification: str  # "Maximal" | "Minimal" | "Neither"
     branch: str
     half_integral_bound: bool
-    oracle_count: Optional[int] = None
-
-
-class HypersurfaceInvariants(Record):
-    """X, Y: indices j with gcd(l_j, p) = 1 and with p | l_j.  L1, A1, A2
-    are F_q elements: prod over X of l_j^(d_j), prod over X of a_j^(n - d_j)
-    and prod over Y of a_j^n; A = A1 A2."""
-
-    X: tuple
-    Y: tuple
-    D1: int
-    D2: int
-    L1: int
-    A1: int
-    A2: int
-    A: int
-    I: int
 
 
 def eps(alpha: int, q: int) -> int:
@@ -212,10 +195,10 @@ _PROFILES: dict = {}
 
 
 def _profile(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
-    """The one pass over the terms: all that the count, the classifiers,
-    weil_bounds and hypersurface_invariants read and that depends on neither
-    lambda nor the order of the terms, as ((a, i, d, l) per term in sorted
-    order, R, chi_delta, chi_arg, exact, D1, D2, WeilBounds, reports).
+    """The one pass over the terms: all that the count, the classifiers and
+    weil_bounds read and that depends on neither lambda nor the order of the
+    terms, as ((a, i, d, l) per term in sorted order, R, chi_delta, chi_arg,
+    exact, D1, D2, WeilBounds, reports).
     chi_arg is the product of the terms' chi arguments, chi_delta =
     (prod_j sign_j) chi(chi_arg) the discriminant character of the direct
     sum of the term forms, and exact says i_j = d_j for every j in Y.
@@ -263,29 +246,6 @@ def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
             WeilBounds(center - dev, center + dev, half), {})
 
 
-def hypersurface_invariants(spec: HypersurfaceSpec) -> HypersurfaceInvariants:
-    """Built on request in the order of the spec's terms, each term's d and l
-    read from the profile's rows: the count and the classifiers need none of
-    its F_q products, so the profile keeps none."""
-    t = spec.tower
-    n, p = t.n, t.p
-    rows, *_, D1, D2, _, _ = _profile(spec)
-    d_and_l = {(a, i): (d, l) for a, i, d, l in rows}
-    X, Y = [], []
-    L1 = A1 = A2 = 1
-    for j, (a, i) in enumerate(spec.terms):
-        d, l = d_and_l[a, i]
-        if l % p:
-            X.append(j)
-            L1 = L1 * pow(l, d, p) % p  # an F_p element, so integer arithmetic
-            A1 = t.bmul(A1, t.bpow(a, n - d))
-        else:
-            Y.append(j)
-            A2 = t.bmul(A2, t.bpow(a, n))
-    return HypersurfaceInvariants(tuple(X), tuple(Y), D1, D2, L1, A1, A2, t.bmul(A1, A2),
-                                  sum(row[1] for row in rows))
-
-
 def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     """q^rn +/- (q-1) q^((nr+2I)/2); when the deviation is irrational (odd
     nr with p^s not a square, so s(nr+2I) odd) the floor is stored and the
@@ -317,7 +277,7 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec]) -> CountReport:
     if classification != _LABELS[end and end[3]]:
         raise RuntimeError("condition bundle disagrees with bounds")
     report = reports[trl, kind] = CountReport(count, trl, lower, upper, classification,
-                                              branch, half, None)
+                                              branch, half)
     return report
 
 

@@ -36,12 +36,11 @@ DEFAULT_LIMIT = 10_000_000
 class Record(tuple):
     """Immutable value record, held as one tuple of its field values.
 
-    A subclass declares its fields as annotated class attributes, in order;
-    a value assigned to one is its default.  Each field becomes a read-only
-    property over the tuple, so building a record from all its values in
-    order is one tuple construction however many fields it has; keywords
-    and defaults cost a dict merge, so the library passes every value
-    positionally.  Equality (within one class), hashing, repr
+    A subclass declares its fields as annotated class attributes, in order.
+    Each field becomes a read-only property over the tuple, so building a
+    record from all its values in order is one tuple construction however
+    many fields it has; keywords cost a dict merge, so the library passes
+    every value positionally.  Equality (within one class), hashing, repr
     and copying go by the declared fields alone, so a subclass may keep a
     derived value as an ordinary attribute without changing its value.
     Plain classes spare a CLI process the standard-library modules that
@@ -50,14 +49,12 @@ class Record(tuple):
 
     __slots__ = ()
     _fields: tuple = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__dict__.get("__annotations__", ()))
         if fields:
             cls._fields = fields
-            cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
             for k, name in enumerate(fields):
                 setattr(cls, name, property(itemgetter(k)))
 
@@ -65,7 +62,7 @@ class Record(tuple):
         fields = cls._fields
         if kwargs or len(args) != len(fields):
             # a field given twice raises TypeError in the merge
-            values = dict(cls._defaults, **dict(zip(fields, args)), **kwargs)
+            values = dict(**dict(zip(fields, args)), **kwargs)
             if len(args) > len(fields) or values.keys() != set(fields):
                 raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
             args = [values[name] for name in fields]
@@ -494,9 +491,11 @@ class FieldTower:
         return self.base_from_digits(self._prime.xpow(tuple(self.base_digits(a)), e))
 
     def check_base_rows(self, rows: Sequence) -> None:
-        """Refuse with ValueError any entry of rows outside the F_q codes
-        0..q-1, which the arithmetic would read as another element or fail
-        on with IndexError."""
+        """Refuse with ValueError rows of unequal length, and any entry
+        outside the F_q codes 0..q-1, which the arithmetic would read as
+        another element or fail on with IndexError."""
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("rows have unequal lengths")
         for row in rows:
             for v in row:
                 if not 0 <= v < self.q:

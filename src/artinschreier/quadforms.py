@@ -1,12 +1,13 @@
 """Quadratic forms over F_q attached to the maps x -> Tr(a x (x^(q^i) - x)).
 
-Matrices over F_q are lists of row lists of base-element ints.  The central
-objects are the integer circulant M_{n,i} = (P^i)^T - 2 Id + P^i (P the cyclic
-shift), the Gram matrix A of the trace form in a chosen basis, congruence
-diagonalization over F_q, and the exact value of the associated character sum
-as a fourth root of unity times a half-integral power of q.  The solution
-count of Q(x) = alpha, count_qf_solutions, is defined in counting, whose
-closed forms are that count, and is re-exported here.
+Matrices over F_q are lists of row lists of base-element ints; a matrix with
+rows of unequal length, a non-square matrix to diagonalize and a basis
+element that is not an n-tuple are refused with ValueError.  The module
+builds the Gram matrix of the trace form in a chosen basis, diagonalizes it
+by congruence over F_q, and gives the exact value of the associated
+character sum as a fourth root of unity times a half-integral power of q.
+The solution count of Q(x) = alpha, count_qf_solutions, is defined in
+counting, whose closed forms are that count, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -27,27 +28,12 @@ class DiagonalizationResult(Record):
 
 
 class ExactValue(Record):
-    """unit * q^(half_power_of_q / 2), unit = i^i_exponent; or exactly zero."""
+    """unit * q^(half_power_of_q / 2), unit = i^i_exponent."""
 
     i_exponent: FourthRootUnit
     half_power_of_q: int
-    zero: bool = False
-
-    def is_real(self) -> bool:
-        return self.zero or self.i_exponent % 2 == 0
-
-    def to_int(self, q: int) -> int:
-        """Exact integer value; requires a real unit and an even power."""
-        if self.zero:
-            return 0
-        if self.i_exponent % 2 or self.half_power_of_q % 2:
-            raise ValueError("value is not a rational integer")
-        mag = q ** (self.half_power_of_q // 2)
-        return mag if self.i_exponent == 0 else -mag
 
     def to_complex(self, q: int) -> complex:
-        if self.zero:
-            return complex(0.0)
         unit = (1, 1j, -1, -1j)[self.i_exponent % 4]
         return unit * math.sqrt(q) ** self.half_power_of_q
 
@@ -55,22 +41,6 @@ class ExactValue(Record):
 class RankCharPrediction(Record):
     rank: int
     character: int
-
-
-def build_Mni(p: int, n: int, i: int) -> list:
-    """The n x n matrix (P^i)^T - 2 Id + P^i over F_p (entries as ints mod p).
-
-    Built from the matrix expression, so the wrap-around at n = 2i (entries
-    equal to 2 at distance n/2) comes out automatically.
-    """
-    if not 0 < i < n:
-        raise ValueError(f"need 0 < i < n, got i={i}, n={n}")
-    mat = [[0] * n for _ in range(n)]
-    for j in range(n):
-        mat[j][j] = (-2) % p
-        mat[j][(j + i) % n] = (mat[j][(j + i) % n] + 1) % p
-        mat[j][(j - i) % n] = (mat[j][(j - i) % n] + 1) % p
-    return mat
 
 
 def det_Mn_integer(m: int) -> int:
@@ -127,6 +97,8 @@ def build_gram(tower: FieldTower, basis: Sequence, i: int, a: int) -> list:
         raise ValueError(f"need 0 < i < n, got i={i}, n={n}")
     if not 0 < a < tower.q:
         raise ValueError(f"a={a} is not in F_q*")
+    if any(len(b) != n for b in basis):
+        raise ValueError(f"basis elements are not {n}-tuples")
     if len(basis) != n or fq_matrix_rank(tower, [list(b) for b in basis]) != n:
         raise ValueError("basis is not F_q-linearly independent of full size")
     frob = [tower.frobenius(b, i) for b in basis]
@@ -153,6 +125,8 @@ def congruence_diagonalize(tower: FieldTower, H: Sequence) -> DiagonalizationRes
     """
     n = len(H)
     D = [list(row) for row in H]
+    if any(len(row) != n for row in D):
+        raise ValueError("matrix is not square")
     tower.check_base_rows(D)
     for j in range(n):
         for l in range(j + 1, n):
@@ -269,8 +243,8 @@ def char_sum_closed_form(tower: FieldTower, H: Sequence) -> ExactValue:
     n = len(H)
     l, chi_delta = rank_and_char(tower, H)
     if l == 0:
-        return ExactValue(0, 2 * n, False)
+        return ExactValue(0, 2 * n)
     iexp = (2 * (l * (tower.s + 1)) + tau_power(tower.p, l * tower.s)) % 4
     if chi_delta == -1:
         iexp = (iexp + 2) % 4
-    return ExactValue(iexp, 2 * n - l, False)
+    return ExactValue(iexp, 2 * n - l)

@@ -23,7 +23,6 @@ from artinschreier.counting import (
     count_curve,
     count_hypersurface,
     eps,
-    hypersurface_invariants,
     weil_bounds,
 )
 from artinschreier.fields import FieldTower, build_tower
@@ -87,7 +86,6 @@ def test_count_curve_report_fields():
     r = count_curve(_curve(3, 1, 2, 1))
     assert isinstance(r, CountReport)
     assert r.trace_lambda == 0
-    assert r.oracle_count is None
     assert r.bound_lower <= r.closed_form <= r.bound_upper
 
 
@@ -191,25 +189,6 @@ def test_hypersurface_term_permutation_invariant():
             base = count_hypersurface(HypersurfaceSpec(t, tuple(terms), lam)).closed_form
             rng.shuffle(terms)
             assert count_hypersurface(HypersurfaceSpec(t, tuple(terms), lam)).closed_form == base
-
-
-def test_hypersurface_invariants_example():
-    spec = _hyper(5, 2, 30, [(1, 2), (1, 3), (1, 6)])
-    inv = hypersurface_invariants(spec)
-    # every l_j = 30/d_j is a multiple of 5, so all terms land in Y
-    assert inv.X == () and inv.Y == (0, 1, 2)
-    assert inv.D1 == 0 and inv.D2 == 11
-    assert inv.I == 11
-    assert inv.L1 == 1 and inv.A1 == 1
-
-
-def test_hypersurface_invariants_partition():
-    spec = _hyper(3, 1, 6, [(1, 1), (2, 3), (1, 2)])
-    inv = hypersurface_invariants(spec)
-    # l = 6, 2, 3: p = 3 divides l only for the first and third terms
-    assert inv.X == (1,) and inv.Y == (0, 2)
-    assert inv.D1 == 3 and inv.D2 == 1 + 2
-    assert inv.I == 6
 
 
 # ------------------------------------------------------------- weil bounds
@@ -513,7 +492,7 @@ def test_term_profile_built_once_per_terms(monkeypatch):
     for cls, what, *steps in runs:
         calls.clear()
         spec = cls(t, what, lam)
-        for step in steps + [weil_bounds, hypersurface_invariants]:
+        for step in steps + [weil_bounds]:
             step(spec)
         assert len(calls) == len(spec.terms), cls.__name__
         calls.clear()
@@ -523,9 +502,6 @@ def test_term_profile_built_once_per_terms(monkeypatch):
     base = count_hypersurface(HypersurfaceSpec(t, terms, other)).closed_form
     permuted = HypersurfaceSpec(t, ((2, 3), (1, 1), (1, 1)), other)
     assert count_hypersurface(permuted).closed_form == base
-    # the X and Y indices follow the order of the terms
-    assert hypersurface_invariants(_hyper(3, 1, 6, terms))[:2] == ((1,), (0, 2))
-    assert hypersurface_invariants(permuted)[:2] == ((0,), (1, 2))
     assert count_hypersurface(HypersurfaceSpec(t, list(terms), other)).closed_form == base
     # every ordering of the multiset reads the one profile
     assert calls == []

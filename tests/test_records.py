@@ -1,4 +1,4 @@
-"""Value semantics of the eight record types: construction, defaults,
+"""Value semantics of the seven record types: construction,
 equality, hashing, immutability, repr, copying and the spec validation."""
 
 import copy
@@ -6,8 +6,7 @@ import pickle
 
 import pytest
 
-from artinschreier.counting import (CountReport, CurveSpec,
-                                    HypersurfaceInvariants, HypersurfaceSpec,
+from artinschreier.counting import (CountReport, CurveSpec, HypersurfaceSpec,
                                     WeilBounds)
 from artinschreier.fields import build_tower
 from artinschreier.quadforms import (DiagonalizationResult, ExactValue,
@@ -23,15 +22,13 @@ CASES = [
     (HypersurfaceSpec, (T, ((1, 1), (2, 3)), LAM),
      dict(tower=T, terms=((1, 1), (2, 3)), lam=LAM)),
     (WeilBounds, (65, 97, False), dict(lower=65, upper=97, half_integral=False)),
-    (CountReport, (81, 0, 65, 97, "Neither", "coprime-odd", False, 81),
+    (CountReport, (81, 0, 65, 97, "Neither", "coprime-odd", False),
      dict(closed_form=81, trace_lambda=0, bound_lower=65, bound_upper=97,
           classification="Neither", branch="coprime-odd",
-          half_integral_bound=False, oracle_count=81)),
-    (HypersurfaceInvariants, ((0,), (1,), 1, 2, 1, 2, 1, 2, 4),
-     dict(X=(0,), Y=(1,), D1=1, D2=2, L1=1, A1=2, A2=1, A=2, I=4)),
+          half_integral_bound=False)),
     (DiagonalizationResult, ([[1, 0], [0, 1]], [2, 0], 1),
      dict(transform=[[1, 0], [0, 1]], diagonal=[2, 0], rank=1)),
-    (ExactValue, (2, 5, False), dict(i_exponent=2, half_power_of_q=5, zero=False)),
+    (ExactValue, (2, 5), dict(i_exponent=2, half_power_of_q=5)),
     (RankCharPrediction, (3, -1), dict(rank=3, character=-1)),
 ]
 
@@ -42,10 +39,9 @@ DIFFERENT = {
     CurveSpec: (T, 2, LAM),
     HypersurfaceSpec: (T, ((1, 1),), LAM),
     WeilBounds: (65, 97, True),
-    CountReport: (81, 0, 65, 97, "Neither", "coprime-odd", False),
-    HypersurfaceInvariants: ((0,), (1,), 1, 2, 1, 2, 1, 2, 5),
+    CountReport: (81, 0, 65, 97, "Neither", "coprime-odd", True),
     DiagonalizationResult: ([[1, 0], [0, 1]], [2, 1], 2),
-    ExactValue: (2, 5, True),
+    ExactValue: (2, 6),
     RankCharPrediction: (3, 1),
 }
 
@@ -59,14 +55,15 @@ def test_positional_and_keyword_construction_agree(cls, args, kwargs):
         assert getattr(b, name) == value
 
 
-def test_defaults():
-    rep = CountReport(closed_form=81, trace_lambda=0, bound_lower=65,
-                      bound_upper=97, classification="Neither",
-                      branch="coprime-odd", half_integral_bound=False)
-    assert rep.oracle_count is None
-    assert ExactValue(i_exponent=0, half_power_of_q=4).zero is False
-    assert ExactValue(0, 4) == ExactValue(0, 4, False)
-    assert ExactValue(0, 4) != ExactValue(0, 4, True)
+# a field missing, one too many, or one given both by position and by keyword
+@pytest.mark.parametrize("args,kwargs", [
+    ((65, 97), {}), ((65, 97, False, 1), {}), ((65,), dict(upper=97)),
+    ((), dict(lower=65, upper=97, half_integral=False, other=1)),
+    ((65,), dict(lower=65, upper=97, half_integral=False)),
+])
+def test_wrong_fields_raise_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        WeilBounds(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cls,args,kwargs", CASES, ids=IDS)
