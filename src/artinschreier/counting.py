@@ -25,39 +25,26 @@ branches (l = 2 and p is odd).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Tuple, Union
 
 from .fields import FieldTower, Record, tau_power
 
 
 class _Spec(Record):
-    """What both specs share: Tr(lambda), the key of the term multiset and
-    its profile (see _profile), each computed on first read and kept.  None
-    is a field, so a spec that has read them compares, hashes, prints,
-    pickles and copies like a fresh one; a lambda in F_q still needs no
-    modulus."""
-
-    _trace = _key = _held_profile = None
-
-    @property
-    def trace_lambda(self) -> int:
-        if self._trace is None:
-            object.__setattr__(self, "_trace", self.tower.trace(self.lam))
-        return self._trace
-
-    @property
-    def multiset_key(self) -> tuple:
-        """(p, s, n, terms in sorted order): one key for every ordering of the
-        terms, under which the profile and the oracle's fibers are kept."""
-        if self._key is None:
-            t = self.tower
-            object.__setattr__(self, "_key", (t.p, t.s, t.n, tuple(sorted(self.terms))))
-        return self._key
+    """What both specs share.  When a spec is made it derives, once, what
+    every count, classification and oracle read starts from, and keeps it
+    beside its fields: trace_lambda = Tr(lambda), multiset_key = (p, s, n,
+    sorted terms) and that multiset's profile from _PROFILES.  They are not
+    fields, so a spec compares, hashes, pickles and copies by its fields
+    alone.  Only a lambda outside F_q searches the modulus for its trace."""
 
     @staticmethod
     def _checked_lambda(tower: FieldTower, lam) -> tuple:
-        """lam as a tuple of n F_q codes, else ValueError."""
+        """lam as a tuple of n F_q codes, else TypeError or ValueError."""
         lam = tuple(lam)
+        if type(sum(lam)) is not int:  # one C-level sum clears a tuple of ints
+            lam = tuple(map(operator.index, lam))
         if len(lam) != tower.n:
             raise ValueError("lambda has the wrong number of coefficients")
         ordered = sorted(lam)  # one builtin call, where min and max take two
@@ -66,6 +53,15 @@ class _Spec(Record):
             raise ValueError(f"lambda coefficient {bad} is not in 0..q-1 = 0..{tower.q - 1}")
         return lam
 
+    def _derive(self):
+        t = self.tower
+        key = (t.p, t.s, t.n, tuple(sorted(self.terms)))
+        profile = _PROFILES.get(key)
+        if profile is None:
+            profile = _PROFILES[key] = _profile_compute(t, key[3])
+        vars(self).update(trace_lambda=t.trace(self.lam), multiset_key=key, profile=profile)
+        return self
+
 
 class CurveSpec(_Spec):
     tower: FieldTower
@@ -73,10 +69,10 @@ class CurveSpec(_Spec):
     lam: tuple
 
     def __new__(cls, tower: FieldTower, i: int, lam: tuple):
-        lam = cls._checked_lambda(tower, lam)
+        lam, i = cls._checked_lambda(tower, lam), operator.index(i)
         if not 0 < i < tower.n:
             raise ValueError(f"need 0 < i < n, got i={i}, n={tower.n}")
-        return tuple.__new__(cls, (tower, i, lam))
+        return tuple.__new__(cls, (tower, i, lam))._derive()
 
     @property
     def terms(self) -> tuple:
@@ -91,6 +87,8 @@ class HypersurfaceSpec(_Spec):
 
     def __new__(cls, tower: FieldTower, terms: tuple, lam: tuple):
         terms, lam = tuple(map(tuple, terms)), cls._checked_lambda(tower, lam)
+        if type(sum(map(sum, terms))) is not int:
+            terms = tuple(tuple(map(operator.index, term)) for term in terms)
         if len(terms) < 1:
             raise ValueError("need at least one term")
         for a, i in terms:
@@ -98,7 +96,7 @@ class HypersurfaceSpec(_Spec):
                 raise ValueError(f"coefficient a={a} is not in F_q*")
             if not 0 < i < tower.n:
                 raise ValueError(f"need 0 < i_j < n, got i_j={i}, n={tower.n}")
-        return tuple.__new__(cls, (tower, terms, lam))
+        return tuple.__new__(cls, (tower, terms, lam))._derive()
 
     @property
     def r(self) -> int:
@@ -194,37 +192,21 @@ def term_invariants(t: FieldTower, n: int, a: int, i: int) -> Tuple[int, int, in
 _PROFILES: dict = {}
 
 
-def _profile(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
+def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
     """The one pass over the terms: all that the count, the classifiers and
     weil_bounds read and that depends on neither lambda nor the order of the
-    terms, as ((a, i, d, l) per term in sorted order, R, chi_delta, chi_arg,
-    exact, D1, D2, WeilBounds, reports).
+    terms, as (nr, R, chi_delta, chi_arg, exact, D1, D2, WeilBounds, reports).
     chi_arg is the product of the terms' chi arguments, chi_delta =
     (prod_j sign_j) chi(chi_arg) the discriminant character of the direct
     sum of the term forms, and exact says i_j = d_j for every j in Y.
     reports holds the CountReport of each (Tr(lambda), kind of spec) counted
-    so far: a count depends on lambda only through its trace.  Kept in
-    _PROFILES under the spec's multiset_key, and by the spec itself once
-    read."""
-    profile = spec._held_profile
-    if profile is None:
-        key = spec.multiset_key
-        profile = _PROFILES.get(key)
-        if profile is None:
-            profile = _PROFILES[key] = _profile_compute(spec.tower, key[3])
-        object.__setattr__(spec, "_held_profile", profile)
-    return profile
-
-
-def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
+    so far: a count depends on lambda only through its trace."""
     q, n, p, s = t.q, t.n, t.p, t.s
-    rows = []
     R = I = D1 = D2 = 0
     signs = chi_arg = 1
     exact = True
     for a, i in terms:
         d, l, rank, sign, arg = term_invariants(t, n, a, i)
-        rows.append((a, i, d, l))
         R += rank
         I += i
         signs *= sign
@@ -234,7 +216,7 @@ def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
         else:
             D2 += d
             exact = exact and i == d
-    nr = n * len(rows)
+    nr = n * len(terms)
     center = q ** nr
     square = (q - 1) ** 2 * q ** (nr + 2 * I)
     dev = math.isqrt(square)
@@ -242,7 +224,7 @@ def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
     if (dev * dev == square) == half:
         raise RuntimeError("half-integral flag disagrees with the Weil deviation")
     chi_delta = signs * t.quadratic_character(chi_arg)
-    return (tuple(rows), R, chi_delta, chi_arg, exact, D1, D2,
+    return (nr, R, chi_delta, chi_arg, exact, D1, D2,
             WeilBounds(center - dev, center + dev, half), {})
 
 
@@ -250,7 +232,7 @@ def weil_bounds(spec: Union[CurveSpec, HypersurfaceSpec]) -> WeilBounds:
     """q^rn +/- (q-1) q^((nr+2I)/2); when the deviation is irrational (odd
     nr with p^s not a square, so s(nr+2I) odd) the floor is stored and the
     bounds are flagged half_integral (the floor is valid for integer counts)."""
-    return _profile(spec)[7]
+    return spec.profile[7]
 
 
 def _count(spec: Union[CurveSpec, HypersurfaceSpec]) -> CountReport:
@@ -258,18 +240,17 @@ def _count(spec: Union[CurveSpec, HypersurfaceSpec]) -> CountReport:
     multiset, Tr(lambda), kind) is computed once, its label cross-checked
     against the condition pass, kept in the profile, and returned to every
     later spec with those inputs."""
-    rows, R, chi_delta, _, _, _, _, bounds, reports = _profile(spec)
+    nr, R, chi_delta, _, _, _, D2, bounds, reports = spec.profile
     trl = spec.trace_lambda
     kind = type(spec)
     report = reports.get((trl, kind))
     if report is not None:
         return report
     t = spec.tower
-    nr = t.n * len(rows)
     count = t.q * count_qf_solutions(t, nr, nr - R, chi_delta, trl)
     branch = "odd" if R % 2 else "even"
     if kind is CurveSpec:
-        branch = ("multiple-" if rows[0][3] % t.p == 0 else "coprime-") + branch
+        branch = ("multiple-" if D2 else "coprime-") + branch  # p | l iff D2 = d > 0
     lower, upper, half = bounds
     classification = ("Maximal" if count == upper else
                       "Minimal" if count == lower else "Neither")
@@ -327,17 +308,15 @@ def _attainment(spec: Union[CurveSpec, HypersurfaceSpec]) -> tuple:
     """
     t = spec.tower
     n, s = t.n, t.s
-    rows, R, _, chi_arg, exact, D1, D2, _, _ = _profile(spec)
-    r = len(rows)
+    nr, R, _, chi_arg, exact, D1, D2, _, _ = spec.profile
     trace_zero = spec.trace_lambda == 0
-    nr = n * r
     if not trace_zero or D1 or nr % 2 or not exact:
         return trace_zero, nr % 2 == 0, D1, D2, exact, None
     if R != nr - 2 * D2 or R % 2:
         raise RuntimeError("rank sum is not the even nr - 2 D2")
     # D1 = 0, so every term lies in Y
     tau_factor = 1 if (2 * (s + 1) * R + tau_power(t.p, s * R)) % 4 == 0 else -1
-    chi_sign = (-1) ** ((n + 1) * r) * t.quadratic_character(chi_arg)
+    chi_sign = (-1) ** ((n + 1) * len(spec.terms)) * t.quadratic_character(chi_arg)
     return True, True, 0, D2, True, ((s * R) % 4, tau_factor, chi_sign, tau_factor * chi_sign)
 
 

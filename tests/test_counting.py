@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 import artinschreier
@@ -459,8 +460,8 @@ def test_trace_lambda_computed_once_per_spec(monkeypatch):
             (HypersurfaceSpec, ((1, 2), (5, 1), (1, 2)), count_hypersurface,
              classify_hypersurface, classify_hypersurface_detail, oracle_hypersurface)]
     for cls, what, *steps in runs:
-        spec = cls(t, what, lam)
         calls.clear()
+        spec = cls(t, what, lam)  # the spec computes its trace when it is made
         results = [step(spec) for step in steps]
         assert calls == [lam], cls.__name__
         assert results[0].trace_lambda == spec.trace_lambda == real(t, lam)
@@ -597,7 +598,7 @@ def test_classify_reads_the_count_report(monkeypatch):
             spec = cls(t, what, lam)
             labels.append(classify(spec))
             # the classification made the count and kept its one report
-            reports = counting._profile(spec)[8]
+            reports = spec.profile[8]
             assert list(reports) == [(spec.trace_lambda, cls)]
             with monkeypatch.context() as patch:
                 calls = []
@@ -644,6 +645,29 @@ def test_hypersurface_spec_validation():
         HypersurfaceSpec(t, ((1, 4),), t.zero)
     with pytest.raises(ValueError):
         HypersurfaceSpec(t, ((1, 1),), (0,))
+
+
+def test_non_integer_entries_refused_before_and_after_the_int_count():
+    # 1.0 == 1 and both hash alike, so a float let through would read the
+    # report kept for the equal int spec, or fail inside the count
+    t = build_tower(3, 1, 5)
+    lam, lam_f = (1, 0, 0, 0, 0), (1.0, 0, 0, 0, 0)
+    cases = [(CurveSpec, (1, lam_f), (1, lam)),                                  # lambda
+             (CurveSpec, (1.0, lam), (1, lam)),                                  # i
+             (HypersurfaceSpec, (((1.0, 2), (2, 3)), lam), (((1, 2), (2, 3)), lam)),  # a
+             (HypersurfaceSpec, (((1, 2), (2, 3.0)), lam), (((1, 2), (2, 3)), lam)),  # i_j
+             (HypersurfaceSpec, (((1, 2),), lam_f), (((1, 2),), lam))]              # lambda
+    for cls, float_args, int_args in cases:
+        count = count_curve if cls is CurveSpec else count_hypersurface
+        for _ in range(2):  # before, then after, the int spec is counted
+            with pytest.raises(TypeError, match="integer"):
+                cls(t, *float_args)
+            assert type(count(cls(t, *int_args)).trace_lambda) is int
+    with pytest.raises(TypeError, match="integer"):
+        CurveSpec(build_tower(3, 1, 4), 1, (0.5, 0, 0, 0))
+    # integer types other than int are read as ints
+    spec = CurveSpec(t, numpy.int64(1), numpy.array(lam))
+    assert spec == CurveSpec(t, 1, lam) and repr(spec) == repr(CurveSpec(t, 1, lam))
 
 
 # ---------------------------------------------- enumeration beyond the grid

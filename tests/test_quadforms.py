@@ -5,9 +5,9 @@ import random
 import pytest
 import sympy
 
-from artinschreier.counting import CurveSpec, count_curve
+from artinschreier.counting import CurveSpec, count_curve, term_invariants
 from artinschreier.fields import build_tower, tau_power
-from artinschreier.oracle import char_sum_numeric, qf_histogram
+from artinschreier.oracle import DEFAULT_LIMIT, char_sum_numeric, oracle_curve, qf_histogram
 from artinschreier.quadforms import (
     build_gram,
     char_sum_closed_form,
@@ -467,6 +467,76 @@ def test_multiple_branch_signs_beyond_p13(p, s, n, i):
         spec = CurveSpec(t, i, lam)
         want = t.q * count_qf_solutions(t, n, n - rank, char, spec.trace_lambda)
         assert count_curve(spec).closed_form == want
+
+
+def _curve_sign_cases():
+    """Every sign case of the curve count over p <= 23, s <= 3, n <= 60,
+    with its smallest witness (q^n, p, s, n, i, Tr lambda).  A case is
+    (branch, n mod 2, d mod 2, p mod 4, s mod 2, chi(delta), R mod 2, Tr
+    lambda class), the class being 0 or not for even R, and 0, a square or
+    a non-square for odd R, where the count reads chi(Tr lambda)."""
+    cases = {}
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for s in (1, 2, 3):
+            f = build_tower(p, s, 1)  # term_invariants reads only F_q
+            q = p ** s
+            least = {}  # chi -> the least code with that character
+            for c in range(q - 1, 0, -1):
+                least[f.quadratic_character(c)] = c
+            for n in range(2, 61):
+                for i in range(1, n):
+                    d, l, rank, sign, arg = term_invariants(f, n, 1, i)
+                    head = ("multiple" if l % p == 0 else "coprime", n % 2, d % 2, p % 4,
+                            s % 2, sign * f.quadratic_character(arg), rank % 2)
+                    traces = ((0, 0), ("square", least[1]), ("non-square", least[-1])) \
+                        if rank % 2 else ((0, 0), ("nonzero", 1))
+                    for kind, c in traces:
+                        witness = (q ** n, p, s, n, i, c)
+                        cases[head + (kind,)] = min(cases.get(head + (kind,), witness), witness)
+    return cases
+
+
+def _lambda_of_trace(t, c):
+    """An element of F_{q^n} with trace c: a monomial of nonzero trace,
+    scaled."""
+    if c == 0:
+        return t.zero
+    for u in range(t.n):
+        monomial = tuple(int(j == u) for j in range(t.n))
+        tr = t.trace(monomial)
+        if tr:
+            return tuple(t.bmul(c, t.binv(tr)) if j == u else 0 for j in range(t.n))
+
+
+GRAM_MAX_N = 20  # build_gram makes n^2 products and traces
+
+
+def test_every_curve_sign_case_has_an_independent_witness():
+    # the smallest witness of each case is counted by the histogram oracle
+    # where q^n allows, and otherwise by the Gram matrix of the literal
+    # definition, whose rank and character must give the case's own
+    cases = _curve_sign_cases()
+    by_oracle, by_gram, out_of_reach = [], [], []
+    for case, (size, p, s, n, i, c) in sorted(cases.items(), key=lambda kv: kv[1]):
+        if size > DEFAULT_LIMIT and n > GRAM_MAX_N:
+            out_of_reach.append(case)
+            continue
+        t = build_tower(p, s, n)
+        spec = CurveSpec(t, i, _lambda_of_trace(t, c))
+        assert spec.trace_lambda == c
+        rep = count_curve(spec)
+        assert rep.branch == case[0] + ("-odd" if case[6] else "-even"), case
+        if size <= DEFAULT_LIMIT:
+            assert rep.closed_form == oracle_curve(spec), (case, p, s, n, i)
+            by_oracle.append(case)
+            continue
+        rank, char = rank_and_char(t, build_gram(t, polynomial_basis(t), i, 1))
+        assert (rank % 2, char) == (case[6], case[5]), (case, p, s, n, i)
+        assert rep.closed_form == t.q * count_qf_solutions(t, n, n - rank, char, c), case
+        by_gram.append(case)
+    print(f"curve sign cases: {len(cases)}, {len(by_oracle)} by the histogram oracle, "
+          f"{len(by_gram)} by the Gram matrix, {len(out_of_reach)} without a witness")
+    assert not out_of_reach
 
 
 # ---------------------------------------------------------- special basis
