@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import product
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -561,21 +562,46 @@ class FieldTower:
             self._frob_matrices[k] = rows
         return self._frob_matrices[k]
 
+    # The vector operations pick the F_q branch once per vector: residues
+    # mod p for s = 1, flat table lookups while the tables exist, and the
+    # per-coefficient base operations above them.
+
     def xadd(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        return tuple(self.badd(a, b) for a, b in zip(x, y))
+        if self.s == 1:
+            p = self.p
+            return tuple([(a + b) % p for a, b in zip(x, y)])
+        if self._add is not None:
+            add, q = self._add, self.q
+            return tuple([add[a * q + b] for a, b in zip(x, y)])
+        return tuple([self.badd(a, b) for a, b in zip(x, y)])
 
     def xsub(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        return tuple(self.bsub(a, b) for a, b in zip(x, y))
+        if self.s == 1:
+            p = self.p
+            return tuple([(a - b) % p for a, b in zip(x, y)])
+        if self._sub is not None:
+            sub, q = self._sub, self.q
+            return tuple([sub[a * q + b] for a, b in zip(x, y)])
+        return tuple([self.bsub(a, b) for a, b in zip(x, y)])
 
     def xneg(self, x: ExtElement) -> ExtElement:
-        return tuple(self.bneg(a) for a in x)
+        return self.xsub(self.zero, x)
 
     def xmul(self, x: ExtElement, y: ExtElement) -> ExtElement:
         res = self._ring.mul_mod(x, y, self._ext_modulus or self._extension())
         return tuple(res + [0] * (self.n - len(res)))
 
     def xscale(self, a: int, x: ExtElement) -> ExtElement:
-        return tuple(self.bmul(a, c) for c in x)
+        if self.s == 1:
+            p = self.p
+            return tuple([a * c % p for c in x])
+        if self._exp is not None:
+            if not a:
+                return self.zero
+            exp, log, qm1 = self._exp, self._log, self.q - 1
+            la = log[a]
+            return tuple([exp[(la + log[c]) % qm1] if c else 0 for c in x])
+        return tuple([self.bmul(a, c) for c in x])
 
     def xpow(self, x: ExtElement, e: int) -> ExtElement:
         """x^e by the ring's square-and-multiply; a negative e is reduced mod
@@ -634,9 +660,10 @@ class FieldTower:
         return tuple(out)
 
     def elements(self) -> Iterator:
-        """All of F_{q^n} in odometer order, least significant coefficient fastest."""
-        for m in range(self.ext_card):
-            yield self.ext_from_int(m)
+        """All of F_{q^n} in odometer order, least significant coefficient
+        fastest: product varies its last place fastest, so each tuple is
+        read backwards."""
+        return (c[::-1] for c in product(range(self.q), repeat=self.n))
 
     def random_element(self, rng: random.Random) -> ExtElement:
         return self.ext_from_int(rng.randrange(self.ext_card))

@@ -208,7 +208,7 @@ def _direct_count(t: FieldTower, terms, lam) -> int:
     y^q - y, so the scan makes q^(rn) + (r - 1) q^((r-1)n) xadd calls."""
     key = (t.p, t.s, t.n)
     if key not in _IMAGE_CACHE:
-        _IMAGE_CACHE[key] = Counter(t.xsub(t.xpow(y, t.q), y) for y in t.elements())
+        _IMAGE_CACHE[key] = Counter(t.xsub(t.frobenius(y, 1), y) for y in t.elements())
     images = _IMAGE_CACHE[key]
     *head, last = [[t.xscale(a, t.xmul(x, t.xsub(t.frobenius(x, i), x))) for x in t.elements()]
                    for a, i in terms]

@@ -246,6 +246,35 @@ def test_extension_enumeration_roundtrip():
         assert t.ext_from_int(k) == x
 
 
+@pytest.mark.parametrize("psn", [(3, 2, 3), (5, 1, 3)])
+def test_elements_in_integer_order(psn):
+    t = build_tower(*psn)
+    assert list(t.elements()) == [t.ext_from_int(m) for m in range(t.ext_card)]
+
+
+# (p, s, n) and whether the tower has F_q add/sub and log tables: s = 1
+# reduces mod p, q <= 512 adds by table, q <= 2^20 multiplies by logs, and
+# past both the vector operations run the base operations per coefficient
+@pytest.mark.parametrize("psn,tables", [
+    ((3, 1, 4), (False, False)), ((1009, 1, 2), (False, False)),
+    ((3, 2, 3), (True, True)), ((7, 3, 2), (True, True)),
+    ((3, 7, 2), (False, True)), ((3, 13, 2), (False, False))])
+def test_vector_operations_match_base_operations(psn, tables):
+    t = build_tower(*psn)
+    assert (t._add is not None, t._exp is not None) == tables
+    rng = random.Random(psn[0] * 100 + psn[1])
+    top = tuple([t.q - 1] * t.n)
+    xs = [t.zero, t.one, top] + [t.random_element(rng) for _ in range(20)]
+    scalars = [0, 1, t.q - 1] + [rng.randrange(t.q) for _ in range(5)]
+    for x in xs:
+        assert t.xneg(x) == tuple(t.bneg(a) for a in x)
+        for c in scalars:
+            assert t.xscale(c, x) == tuple(t.bmul(c, a) for a in x), (c, x)
+        for y in xs:
+            assert t.xadd(x, y) == tuple(t.badd(a, b) for a, b in zip(x, y))
+            assert t.xsub(x, y) == tuple(t.bsub(a, b) for a, b in zip(x, y))
+
+
 def _xmul_schoolbook(t, x, y):
     """x y in F_{q^n}: every coefficient product, then the top coefficients
     removed one at a time with the extension modulus, by F_q method calls."""

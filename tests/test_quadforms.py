@@ -1,13 +1,16 @@
 """Gram matrices, diagonalization, rank/character predictions, char sums."""
 
+import math
 import random
 
 import pytest
 import sympy
 
-from artinschreier.counting import CurveSpec, count_curve, term_invariants
+from artinschreier.counting import (CurveSpec, HypersurfaceSpec, count_curve, count_hypersurface,
+                                   term_invariants)
 from artinschreier.fields import build_tower, tau_power
-from artinschreier.oracle import DEFAULT_LIMIT, char_sum_numeric, oracle_curve, qf_histogram
+from artinschreier.oracle import (DEFAULT_LIMIT, char_sum_numeric, oracle_curve, oracle_hypersurface,
+                                 qf_histogram)
 from artinschreier.quadforms import (
     build_gram,
     char_sum_closed_form,
@@ -536,6 +539,82 @@ def test_every_curve_sign_case_has_an_independent_witness():
         by_gram.append(case)
     print(f"curve sign cases: {len(cases)}, {len(by_oracle)} by the histogram oracle, "
           f"{len(by_gram)} by the Gram matrix, {len(out_of_reach)} without a witness")
+    assert not out_of_reach
+
+
+def _hypersurface_sign_cases():
+    """Every sign case of the hypersurface count with r in {1, 2} over
+    p <= 13, s <= 2, n <= 12, with its smallest witness (q^n, p, s, n, terms,
+    Tr lambda).  A term case is (branch, d mod 2, rank mod 2), with chi(a)
+    appended when the rank is odd; a case is (p mod 4, s mod 2, n mod 2,
+    R mod 2, chi(delta), Tr lambda class, sorted term cases), the class as
+    in _curve_sign_cases."""
+    cases = {}
+    for p in (3, 5, 7, 11, 13):
+        for s in (1, 2):
+            f = build_tower(p, s, 1)  # term_invariants reads only F_q
+            q = p ** s
+            least = {}  # chi -> the least code with that character
+            for c in range(q - 1, 0, -1):
+                least[f.quadratic_character(c)] = c
+            for n in range(2, 13):
+                # the least (a, i) of each (term case, rank mod 2, sign chi(chi_arg)),
+                # all that a term adds to the case
+                kinds = {}
+                for i in range(1, n):
+                    for a in (least[1], least[-1]):
+                        d, l, rank, sign, arg = term_invariants(f, n, a, i)
+                        case = ("multiple" if l % p == 0 else "coprime", d % 2, rank % 2)
+                        if rank % 2:
+                            case += (f.quadratic_character(a),)
+                        kind = (case, rank % 2, sign * f.quadratic_character(arg))
+                        kinds[kind] = min(kinds.get(kind, (a, i)), (a, i))
+                kinds = sorted(kinds.items())
+                multisets = [(x,) for x in kinds] + [(x, y) for k, x in enumerate(kinds)
+                                                     for y in kinds[k:]]
+                for chosen in multisets:
+                    R = sum(kind[1] for kind, _ in chosen) % 2
+                    chi_delta = math.prod(kind[2] for kind, _ in chosen)
+                    head = (p % 4, s % 2, n % 2, R, chi_delta)
+                    term_cases = tuple(sorted(kind[0] for kind, _ in chosen))
+                    terms = tuple(sorted(term for _, term in chosen))
+                    traces = ((0, 0), ("square", least[1]), ("non-square", least[-1])) \
+                        if R else ((0, 0), ("nonzero", 1))
+                    for trace_class, c in traces:
+                        key = head + (trace_class, term_cases)
+                        witness = (q ** n, p, s, n, terms, c)
+                        cases[key] = min(cases.get(key, witness), witness)
+    return cases
+
+
+def test_every_hypersurface_sign_case_has_an_independent_witness():
+    # the smallest witness of each case is counted by the histogram oracle
+    # where q^n allows, and otherwise by the terms' Gram matrices of the
+    # literal definition: ranks add and characters multiply over the direct sum
+    cases = _hypersurface_sign_cases()
+    by_oracle, by_gram, out_of_reach = [], [], []
+    for case, (size, p, s, n, terms, c) in sorted(cases.items(), key=lambda kv: kv[1]):
+        if size > DEFAULT_LIMIT and n > GRAM_MAX_N:
+            out_of_reach.append(case)
+            continue
+        t = build_tower(p, s, n)
+        spec = HypersurfaceSpec(t, terms, _lambda_of_trace(t, c))
+        assert spec.trace_lambda == c
+        closed_form = count_hypersurface(spec).closed_form
+        if size <= DEFAULT_LIMIT:
+            assert closed_form == oracle_hypersurface(spec), (case, p, s, n, terms)
+            by_oracle.append(case)
+            continue
+        R, chi_delta = 0, 1
+        for a, i in terms:
+            rank, char = rank_and_char(t, build_gram(t, polynomial_basis(t), i, a))
+            R, chi_delta = R + rank, chi_delta * char
+        assert (R % 2, chi_delta) == case[3:5], (case, p, s, n, terms)
+        nr = len(terms) * n
+        assert closed_form == t.q * count_qf_solutions(t, nr, nr - R, chi_delta, c), case
+        by_gram.append(case)
+    print(f"hypersurface sign cases (r <= 2): {len(cases)}, {len(by_oracle)} by the histogram "
+          f"oracle, {len(by_gram)} by the Gram matrices, {len(out_of_reach)} without a witness")
     assert not out_of_reach
 
 
