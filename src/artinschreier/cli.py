@@ -2,8 +2,9 @@
 
 Subcommands: count-curve, count-hypersurface, classify, verify, sweep,
 gauss-check.  Counting commands print a flat JSON report (schemaVersion 1);
-sweep emits CSV.  Exit codes: 0 success, 1 malformed arguments, 2
-verification mismatch, 3 refusal: the enumeration limit or a p >= psi_13.
+sweep emits CSV.  Exit codes: 0 success, 1 malformed arguments or a
+reader that closed stdout early, 2 verification mismatch, 3 refusal: the
+enumeration limit or a p >= psi_13.
 
 lambda is given as a comma-separated coefficient list in the canonical
 polynomial basis of F_{q^n} over F_q, least significant first ("2,0,1"
@@ -22,6 +23,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -337,7 +339,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: no more rows, and a silent final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

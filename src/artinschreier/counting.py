@@ -219,7 +219,8 @@ def _profile_compute(t: FieldTower, terms: tuple) -> tuple:
     nr = n * len(terms)
     center = q ** nr
     square = (q - 1) ** 2 * q ** (nr + 2 * I)
-    dev = math.isqrt(square)
+    e = s * (nr + 2 * I)  # square = (q - 1)^2 p^e: a root needs no isqrt when e is even
+    dev = (q - 1) * p ** (e // 2) if e % 2 == 0 else math.isqrt(square)
     half = (s * nr) % 2 == 1
     if (dev * dev == square) == half:
         raise RuntimeError("half-integral flag disagrees with the Weil deviation")

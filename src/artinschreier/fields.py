@@ -359,7 +359,7 @@ class FieldTower:
         self._ring = _PolyOps(self)
         self.zero = tuple([0] * n)
         self.one = tuple([1] + [0] * (n - 1))
-        self._frob_matrices = {}  # x -> x^(q^k) by k, filled by _frob_matrix
+        self._frob_matrices = {}  # x -> x^(q^k) by k, filled by frobenius_rows
         # filled by _extension() on first use, so a count whose lambda lies in
         # F_q never searches.  Plain attributes checked for None where needed:
         # __getattr__, or cached_property writing through __dict__, slowed
@@ -548,10 +548,10 @@ class FieldTower:
             self._extension()
         return self._tr_mono
 
-    def _frob_matrix(self, k: int):
-        """Rows are the images of t^0, ..., t^(n-1) under x -> x^(q^k), 0 < k < n,
-        built on first use as the powers of r = t^(q^k): t^q from xpow, then
-        k - 1 applications of the k = 1 matrix."""
+    def frobenius_rows(self, k: int) -> tuple:
+        """The images of t^0, ..., t^(n-1) under x -> x^(q^k), 0 < k < n, as
+        ext elements, built on first use as the powers of r = t^(q^k): t^q
+        from xpow, then k - 1 applications of the k = 1 rows."""
         if k not in self._frob_matrices:
             r = self.xpow(tuple(1 if j == 1 else 0 for j in range(self.n)), self.q)
             for _ in range(k - 1):
@@ -559,7 +559,7 @@ class FieldTower:
             rows = [self.one]
             for _ in range(self.n - 1):
                 rows.append(self.xmul(rows[-1], r))
-            self._frob_matrices[k] = rows
+            self._frob_matrices[k] = tuple(rows)
         return self._frob_matrices[k]
 
     # The vector operations pick the F_q branch once per vector: residues
@@ -617,11 +617,11 @@ class FieldTower:
 
     def frobenius(self, x: ExtElement, k: int = 1) -> ExtElement:
         """x^(q^k); k is reduced mod n.  The image is sum_j x_j row_j over
-        the rows of _frob_matrix(k)."""
+        the rows of frobenius_rows(k)."""
         k %= self.n
         if not k:
             return x
-        mat = self._frob_matrices[k] if k in self._frob_matrices else self._frob_matrix(k)
+        mat = self._frob_matrices[k] if k in self._frob_matrices else self.frobenius_rows(k)
         out = [0] * self.n
         for c, row in zip(x, mat):
             if c:

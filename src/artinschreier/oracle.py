@@ -69,12 +69,16 @@ def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
 def _frobenius_fp(t: FieldTower, i: int) -> np.ndarray:
     """The F_p matrix of x -> x^(q^i) on the basis e_(u s + v) = t^u g^v: the
     i-th power of that of x -> x^q, whose row (u, v) holds the digits of
-    g^v (t^u)^q (the map fixes g in F_q), read from FieldTower.frobenius."""
-    monomials = map(tuple, np.eye(t.n, dtype=int).tolist())
-    images = [t.xscale(t.bpow(t.p, v), t.frobenius(t_u, 1))
-              for t_u in monomials for v in range(t.s)]
-    digits = np.array(images, dtype=np.int64)[:, :, None] // t.p ** np.arange(t.s) % t.p
-    return _mat_pow(digits.reshape(len(images), -1), i, t.p)
+    g^v (t^u)^q (the map fixes g in F_q).  (t^u)^q is row u of
+    FieldTower.frobenius_rows(1), and digit x of g^v c is the sum over w of
+    c_w times digit x of g^(v + w)."""
+    n, s, p = t.n, t.s, t.p
+    place = p ** np.arange(s)
+    images = np.array(t.frobenius_rows(1), dtype=np.int64)[:, None, :, None] // place % p
+    g_powers = np.array([t.bpow(p, k) for k in range(2 * s - 1)])[:, None] // place % p
+    # [u, v, m, x] = sum over w of digit w of (t^u)^q_m times digit x of g^(v + w)
+    images = images @ g_powers[np.add.outer(np.arange(s), np.arange(s))] % p
+    return _mat_pow(images.reshape(n * s, n * s), i, p)
 
 
 def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
@@ -87,12 +91,15 @@ def _digit_matrices(tower: FieldTower, i: int, a: int) -> np.ndarray:
     for j = (u, v), l = (m, w)."""
     t = tower
     n, s, p = t.n, t.s, t.p
-    scales = [t.bmul(a, t.bpow(p, k)) for k in range(2 * s - 1)]
-    by_degree = np.array([[t.bmul(c, tr) for c in scales] for tr in t.monomial_traces()],
-                         dtype=np.int64)
+    if s == 1:
+        by_degree = (np.array(t.monomial_traces(), dtype=np.int64) * a % p)[:, None]
+    else:
+        scales = [t.bmul(a, t.bpow(p, k)) for k in range(2 * s - 1)]
+        by_degree = np.array([[t.bmul(c, tr) for c in scales] for tr in t.monomial_traces()],
+                             dtype=np.int64)
     pairing = _spread_over_digits(by_degree[np.add.outer(np.arange(n), np.arange(n))], s)
     diff = (_frobenius_fp(t, i) - np.eye(n * s, dtype=np.int64)) % p
-    return np.stack([(pairing // p ** c % p) @ diff.T % p for c in range(s)])
+    return (pairing // p ** np.arange(s)[:, None, None] % p) @ diff.T % p
 
 
 def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
@@ -105,19 +112,23 @@ def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
     unconsumed k, S_c = G_c + G_c^T.  Coordinate m with digit d maps a tuple
     to val_c + d lin_(c,m) + d^2 G_c[m, m] and lin_(c,k) + d S_c[m, k],
     k > m, and drops lin_(c,m); equal tuples merge and their counts add.  A
-    state whose next step would hold more than chunk_size entries is split
-    into two column halves, counted one after the other, so no step holds
-    more than max(chunk_size, p).  The halves not yet counted wait on a
-    stack: all pieces of one level come from one step, so at most
-    N max(chunk_size, p) tuples of at most (N + 1) s digits wait at once."""
+    lin sum of two residues is below 2p, so it is reduced as the unsigned
+    minimum of x and x - p (which wraps round for x < p); the val sums take
+    % p.  Equal tuples need only end up adjacent, so a tuple that packs into
+    one int64 word of base-p digits is merged through an unstable argsort
+    of that word, and a longer one through a lexsort of its words.  A state
+    whose next step would hold more than chunk_size entries is split into
+    two column halves, counted one after the other, so no step holds more
+    than max(chunk_size, p).  The halves not yet counted wait on a stack:
+    all pieces of one level come from one step, so at most N max(chunk_size,
+    p) tuples of at most (N + 1) s digits wait at once."""
     s, N = G.shape[0], G.shape[1]
     S = (G + G.transpose(0, 2, 1)) % p
     dtype = np.min_scalar_type(p * p)  # every unreduced sum below is < p^2
     digits = np.arange(p, dtype=np.int64)
-    # squares[c, d] = d^2 G_c[m, m]; shifts[(k - m - 1) s + c, d] = d S_c[m, k]
-    steps = [((digits ** 2 * G[:, m, m, None] % p).astype(dtype),
-              (S[:, m, m + 1:].T.reshape(-1, 1) * digits % p).astype(dtype))
-             for m in range(N)]
+    # squares[m, c, d] = d^2 G_c[m, m]; shifts[m, k, c, d] = d S_c[m, k]
+    squares = (np.diagonal(G, axis1=1, axis2=2).T[:, :, None] * digits ** 2 % p).astype(dtype)
+    shifts = (S.transpose(1, 2, 0)[:, :, :, None] * digits % p).astype(dtype)
     d = digits.astype(dtype)[:, None]
     # tuples are merged through int64 words of up to `width` base-p digits
     width = 1
@@ -137,23 +148,30 @@ def _fiber_counts(G: np.ndarray, p: int, chunk_size: int) -> np.ndarray:
             half = tuples // 2
             stack += [(m, state[:, half:], counts[half:]), (m, state[:, :half], counts[:half])]
         else:
-            squares, shifts = steps[m]
             # column d * tuples + r is tuple r after digit d
-            state = np.concatenate([
-                (state[:s, None] + d * state[s:2 * s, None] + squares[:, :, None]) % p,
-                (state[2 * s:, None] + shifts[:, :, None]) % p,
-            ]).reshape(len(state) - s, p * tuples)
-            blocks = (state[k:k + width] for k in range(0, len(state), width))
+            rows = len(state) - s
+            out = np.empty((rows, p, tuples), dtype=dtype)
+            val, lin = out[:s], out[s:]
+            np.add(state[2 * s:, None], shifts[m, m + 1:].reshape(-1, p, 1), out=lin)
+            np.minimum(lin, lin - p, out=lin)
+            np.multiply(d, state[s:2 * s, None], out=val)
+            val += state[:s, None]
+            val += squares[m, :, :, None]
+            val %= p
+            state = out.reshape(rows, p * tuples)
+            blocks = (state[k:k + width] for k in range(0, rows, width))
             words = [weights[:len(block)] @ block for block in blocks]
-            order = np.lexsort(words)
-            first = np.zeros(p * tuples, dtype=bool)
+            order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+            # a tuple starts a run where any of its words differs from the last
+            word, *rest = (word[order] for word in words)
+            first = np.empty(p * tuples, dtype=bool)
             first[0] = True
-            for word in words:
-                word = word[order]
+            np.not_equal(word[1:], word[:-1], out=first[1:])
+            for word in rest:
                 first[1:] |= word[1:] != word[:-1]
             starts = np.flatnonzero(first)
-            stack.append((m + 1, state[:, order[starts]],
-                          np.add.reduceat(counts[order % tuples], starts)))
+            stack.append((m + 1, state.take(order[starts], axis=1),
+                          np.add.reduceat(np.concatenate([counts] * p)[order], starts)))
     if int(hist.sum()) != p ** N:
         raise RuntimeError(f"fiber counts sum to {int(hist.sum())}, not p^{N}")
     return hist

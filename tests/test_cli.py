@@ -310,6 +310,24 @@ def test_sweep_memory_does_not_grow_with_rows():
     assert large < small + 256 * 1024, (small, large)
 
 
+def test_sweep_reader_closing_early_exits_1_without_traceback():
+    # as in `sweep ... | head -2`: the reader takes the header and one row
+    # and closes the pipe while rows are still being computed
+    with subprocess.Popen(
+            [sys.executable, "-m", "artinschreier.cli", "sweep", "--p", "3", "--i", "1",
+             "--n-min", "2", "--n-max", "6", "--lambdas", "random:100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env()) as proc:
+        head = [proc.stdout.readline(), proc.stdout.readline()]
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert head[0].startswith(b"p,s,n,i_list") and head[1].startswith(b"3,1,2,1,1,")
+    assert b"Traceback" not in err, err
+    assert proc.returncode == 1, (proc.returncode, err)
+
+
 def test_sweep_jsonl(capsys):
     code, out, _ = _run(capsys, ["sweep", "--p", "3", "--n-max", "3",
                                  "--format", "jsonl"])

@@ -214,6 +214,24 @@ def test_weil_bounds_half_integral_flag():
     assert b.upper == 9 ** 3 + 8 * 3 ** 5
 
 
+def test_weil_deviation_equals_isqrt():
+    # an even exponent s(nr + 2I) gives the deviation (q - 1) p^(s(nr+2I)/2)
+    # directly, an odd one its floor by isqrt; both must equal isqrt
+    cases = [(3, 1, 6, [(1, 1)]), (3, 1, 3, [(1, 1)]), (3, 2, 3, [(1, 1)]),
+             (5, 1, 7, [(1, 2), (3, 4)]), (7, 1, 5, [(1, 1), (2, 3), (4, 2)]),
+             (3, 1, 10 ** 5, [(1, 7), (2, 3)]), (3, 1, 10 ** 5 - 1, [(1, 5)]),
+             (5, 2, 10 ** 5 - 1, [(1, 4)]), (7, 1, 10 ** 5 - 1, [(1, 1), (3, 2), (2, 9)])]
+    branches = set()
+    for p, s, n, terms in cases:
+        b = weil_bounds(_hyper(p, s, n, terms))
+        q, nr, two_i = p ** s, n * len(terms), 2 * sum(i for _, i in terms)
+        dev = math.isqrt((q - 1) ** 2 * q ** (nr + two_i))
+        assert (b.lower, b.upper) == (q ** nr - dev, q ** nr + dev), (p, s, n, terms)
+        assert b.half_integral == (s * (nr + two_i) % 2 == 1), (p, s, n, terms)
+        branches.add(b.half_integral)
+    assert branches == {False, True}
+
+
 def test_bounds_sandwich_sampled():
     rng = random.Random(73)
     for p, s, n in grid_towers():

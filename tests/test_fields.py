@@ -424,6 +424,14 @@ def test_frobenius_is_power_map():
                 assert t.frobenius(x, k) == t.xpow(x, t.q ** k), (p, s, n, k)
 
 
+def test_frobenius_rows_are_monomial_images():
+    for p, s, n in [(3, 1, 5), (3, 2, 3), (5, 1, 4)]:
+        t = build_tower(p, s, n)
+        monomials = [tuple(int(j == u) for j in range(n)) for u in range(n)]
+        for k in range(1, n):
+            assert t.frobenius_rows(k) == tuple(t.xpow(x, t.q ** k) for x in monomials)
+
+
 def test_frobenius_order_and_fixed_field():
     t = build_tower(3, 1, 3)
     for x in t.elements():

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from artinschreier.counting import CurveSpec, HypersurfaceSpec
@@ -85,24 +86,33 @@ def test_qf_histogram_chunking_invariant():
 
 def test_qf_histogram_merges_and_bounds_each_step(monkeypatch):
     # one merge per coordinate when no state is split, and no merge holds
-    # more than max(chunk_size, p) entries when states are split
+    # more than max(chunk_size, p) entries when states are split; a merge
+    # is an argsort of one word per tuple or a lexsort of several
     from artinschreier import oracle
 
-    sizes = []
-    real_lexsort = oracle.np.lexsort
+    merges = []
+    real_argsort, real_lexsort = oracle.np.argsort, oracle.np.lexsort
+
+    def argsort(word):
+        merges.append(("argsort", len(word)))
+        return real_argsort(word)
 
     def lexsort(keys):
-        sizes.append(len(keys[0]))
+        merges.append(("lexsort", len(keys[0])))
         return real_lexsort(keys)
 
+    monkeypatch.setattr(oracle.np, "argsort", argsort)
     monkeypatch.setattr(oracle.np, "lexsort", lexsort)
     t = build_tower(3, 7, 2)
     want = oracle._histogram_compute(t, 1, 1, oracle._CHUNK)
+    sizes = [size for _, size in merges]
     assert len(sizes) == 2 * 7 and max(sizes) <= oracle._CHUNK
+    # 7 digits of val and 13 * 7 of lin after the first coordinate: 3^98 > 2^63
+    assert merges[0][0] == "lexsort"
     for chunk in (1, 5, 100, 1000):
-        sizes.clear()
+        merges.clear()
         assert oracle._histogram_compute(t, 1, 1, chunk) == want, chunk
-        assert max(sizes) <= max(chunk, 3), chunk
+        assert max(size for _, size in merges) <= max(chunk, 3), chunk
 
 
 def test_qf_histogram_matches_reference_wide_digits():
@@ -111,6 +121,39 @@ def test_qf_histogram_matches_reference_wide_digits():
     t = build_tower(3, 5, 2)
     for a in (1, 200):
         assert qf_histogram(t, 1, a) == _reference_histogram(t, 1, a), a
+
+
+def test_qf_histogram_matches_reference_uint16_merge():
+    # p = 17: the unreduced sums reach p^2 = 289, so the state is uint16
+    t = build_tower(17, 1, 3)
+    for i in (1, 2):
+        for a in (1, 11):
+            assert qf_histogram(t, i, a) == _reference_histogram(t, i, a), (i, a)
+
+
+def _brute_fiber_counts(G, p):
+    """sum_c Q_c(X) p^c over every X in F_p^N, evaluated one X at a time."""
+    s, N = G.shape[0], G.shape[1]
+    X = np.array(list(product(range(p), repeat=N)), dtype=np.int64).reshape(-1, N)
+    vals = np.einsum("xj,cjk,xk->xc", X, G, X) % p
+    return np.bincount(vals @ p ** np.arange(s), minlength=p ** s)
+
+
+def test_fiber_counts_match_brute_force_on_random_matrices():
+    # uint8 (p <= 15), uint16 (p = 17) and uint32 (p = 257) states, and
+    # chunk sizes that split every state, states of p tuples and none
+    from artinschreier import oracle
+
+    rng = np.random.default_rng(24)
+    cases = [(p, s, N) for p in (3, 5, 7, 17) for s in (1, 2, 3) for N in range(1, 7)
+             if p ** N <= 20000]
+    cases += [(257, s, N) for s in (1, 2) for N in (1, 2)]
+    for p, s, N in cases:
+        G = rng.integers(0, p, size=(s, N, N))
+        want = _brute_fiber_counts(G, p)
+        for chunk in (1, p, 50, oracle._CHUNK):
+            got = oracle._fiber_counts(G, p, chunk)
+            assert np.array_equal(got, want), (p, s, N, chunk)
 
 
 def _definition_digit_matrices(t, i, a):
@@ -136,8 +179,6 @@ def test_digit_matrices_match_definition():
 def test_frobenius_fp_matches_xpow():
     # the F_p matrix against x^(q^i) by repeated squaring, which reads no
     # Frobenius table; digit v of x_u sits at index u s + v
-    import numpy as np
-
     from artinschreier.oracle import _frobenius_fp
 
     rng = random.Random(16)
