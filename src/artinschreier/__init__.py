@@ -13,13 +13,15 @@ independently (trace-form fiber counts; a literal scan on tiny towers).
 from .counting import (CountReport, CurveSpec, HypersurfaceSpec, WeilBounds,
                        classify_curve, classify_curve_detail,
                        classify_hypersurface, classify_hypersurface_detail,
-                       count_curve, count_hypersurface, eps, weil_bounds)
+                       count_curve, count_hypersurface, count_qf_solutions, eps,
+                       weil_bounds)
 from .fields import (DEFAULT_LIMIT, EnumerationLimitError, FieldTower,
                      build_tower, tau_power)
 
 __version__ = "0.1.0"
 
-# bound on first use by __getattr__ below, like the oracle names
+# the quadforms part of __all__; all but count_qf_solutions, which counting
+# defines, are bound on first use by __getattr__ below, like the oracle names
 _QUADFORMS_NAMES = (
     "DiagonalizationResult", "ExactValue", "RankCharPrediction",
     "build_gram", "char_sum_closed_form",

@@ -597,7 +597,7 @@ class FieldTower:
             return tuple([a * c % p for c in x])
         if self._exp is not None:
             if not a:
-                return self.zero
+                return (0,) * len(x)
             exp, log, qm1 = self._exp, self._log, self.q - 1
             la = log[a]
             return tuple([exp[(la + log[c]) % qm1] if c else 0 for c in x])

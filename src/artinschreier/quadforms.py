@@ -60,7 +60,7 @@ def det_Mn_integer(m: int) -> int:
 def _row_reduce(tower: FieldTower, rows: Sequence) -> tuple:
     """Reduced row echelon form over F_q: (rows, pivots), where pivots[k] is
     the column of the leading 1 of row k and rows past the rank are zero."""
-    mat = [list(r) for r in rows]
+    mat = [tuple(r) for r in rows]
     tower.check_base_rows(mat)
     pivots = []
     cols = len(mat[0]) if mat else 0
@@ -72,12 +72,10 @@ def _row_reduce(tower: FieldTower, rows: Sequence) -> tuple:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = tower.binv(mat[rank][c])
-        mat[rank] = [tower.bmul(inv, v) for v in mat[rank]]
+        mat[rank] = row = tower.xscale(tower.binv(mat[rank][c]), mat[rank])
         for r in range(len(mat)):
             if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [tower.bsub(v, tower.bmul(f, w)) for v, w in zip(mat[r], mat[rank])]
+                mat[r] = tower.xsub(mat[r], tower.xscale(mat[r][c], row))
         pivots.append(c)
     return mat, pivots
 
@@ -90,7 +88,9 @@ def fq_matrix_rank(tower: FieldTower, rows: Sequence) -> int:
 def build_gram(tower: FieldTower, basis: Sequence, i: int, a: int) -> list:
     """Gram matrix of x -> Tr(a x (x^(q^i) - x)) in the given basis of F_{q^n}.
 
-    Entry (j, l) is (a/2) Tr(b_j^(q^i) b_l + b_l^(q^i) b_j - 2 b_j b_l).
+    Entry (j, l) is (a/2) Tr(b_j^(q^i) b_l + b_l^(q^i) b_j - 2 b_j b_l),
+    formed as C_jl + C_lj with C_jl = (a/2) Tr((b_j^(q^i) - b_j) b_l): one
+    product per ordered pair.
     """
     n = tower.n
     if not 0 < i < n:
@@ -99,20 +99,13 @@ def build_gram(tower: FieldTower, basis: Sequence, i: int, a: int) -> list:
         raise ValueError(f"a={a} is not in F_q*")
     if any(len(b) != n for b in basis):
         raise ValueError(f"basis elements are not {n}-tuples")
-    if len(basis) != n or fq_matrix_rank(tower, [list(b) for b in basis]) != n:
+    if len(basis) != n or fq_matrix_rank(tower, basis) != n:
         raise ValueError("basis is not F_q-linearly independent of full size")
-    frob = [tower.frobenius(b, i) for b in basis]
-    half = tower.binv(tower.base_from_int(2))
-    half_a = tower.bmul(half, a)
-    two = tower.base_from_int(2)
-    gram = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for l in range(j, n):
-            term = tower.xadd(tower.xmul(frob[j], basis[l]), tower.xmul(frob[l], basis[j]))
-            term = tower.xsub(term, tower.xscale(two, tower.xmul(basis[j], basis[l])))
-            v = tower.bmul(half_a, tower.trace(term))
-            gram[j][l] = gram[l][j] = v
-    return gram
+    half_a = tower.bmul(tower.binv(tower.base_from_int(2)), a)
+    diffs = [tower.xsub(tower.frobenius(b, i), b) for b in basis]
+    tr = [[tower.trace(tower.xmul(d, b)) for b in basis] for d in diffs]
+    return [[tower.bmul(half_a, tower.badd(tr[j][l], tr[l][j])) for l in range(n)]
+            for j in range(n)]
 
 
 def congruence_diagonalize(tower: FieldTower, H: Sequence) -> DiagonalizationResult:
@@ -135,13 +128,15 @@ def congruence_diagonalize(tower: FieldTower, H: Sequence) -> DiagonalizationRes
     M = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
 
     def add_row_col(dst: int, src: int, factor: int) -> None:
-        # row dst += factor * row src, then the same on columns; M tracks rows
-        for c in range(n):
-            D[dst][c] = tower.badd(D[dst][c], tower.bmul(factor, D[src][c]))
+        # row dst += factor * row src on D and M, then the same on the columns
+        # of D: D stays symmetric, so column dst becomes the new row dst, whose
+        # corner also gains factor times its entry at src
+        row = list(tower.xadd(D[dst], tower.xscale(factor, D[src])))
+        row[dst] = tower.badd(row[dst], tower.bmul(factor, row[src]))
+        D[dst] = row
         for r in range(n):
-            D[r][dst] = tower.badd(D[r][dst], tower.bmul(factor, D[r][src]))
-        for c in range(n):
-            M[dst][c] = tower.badd(M[dst][c], tower.bmul(factor, M[src][c]))
+            D[r][dst] = row[r]
+        M[dst] = list(tower.xadd(M[dst], tower.xscale(factor, M[src])))
 
     def swap(a: int, b: int) -> None:
         D[a], D[b] = D[b], D[a]
@@ -217,7 +212,7 @@ def find_special_basis(tower: FieldTower) -> list:
     # kernel of the n x n matrix whose k-th column is cols[k]: one vector per
     # free column fc, with 1 at fc and minus column fc of the reduced rows at
     # the pivot columns
-    mat, pivots = _row_reduce(tower, [[cols[k][r] for k in range(n)] for r in range(n)])
+    mat, pivots = _row_reduce(tower, list(zip(*cols)))
     kernel = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [0] * n
@@ -229,7 +224,7 @@ def find_special_basis(tower: FieldTower) -> list:
     if beta is None:
         raise RuntimeError("kernel contained no element outside F_q")
     vectors = [beta, tower.one] + monomials
-    _, pivots = _row_reduce(tower, [[v[r] for v in vectors] for r in range(n)])
+    _, pivots = _row_reduce(tower, list(zip(*vectors)))
     return [vectors[c] for c in pivots[2:]] + [beta, tower.one]
 
 

@@ -1,9 +1,11 @@
 """CLI behavior: JSON reports, sweep tables, exit codes."""
 
+import ast
 import csv
 import io
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -476,3 +478,30 @@ def test_gauss_check_refuses_huge_field_fast():
         preexec_fn=_capped_address_space)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "(0, 1)\n"
+
+
+# ------------------------------------------------------------- python -O
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-curve", "--p", "3", "--s", "2", "--n", "4", "--i", "1", "--lambda", "0,4"],
+    ["classify", "--p", "3", "--n", "4", "--i", "1,3", "--a", "1,2"],
+    ["verify", "--p", "7", "--n", "5", "--i", "2", "--lambda", "3,1"],
+], ids=["count-curve", "classify", "verify"])
+def test_optimized_interpreter_prints_the_same(argv):
+    # -O strips assert statements, so no cross-check may be one
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "artinschreier.cli", *argv],
+                       capture_output=True, text=True, env=_cli_env(), timeout=120)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+
+
+def test_package_has_no_assert_statements():
+    pkg = pathlib.Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(pkg.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -273,6 +273,13 @@ def test_vector_operations_match_base_operations(psn, tables):
         for y in xs:
             assert t.xadd(x, y) == tuple(t.badd(a, b) for a, b in zip(x, y))
             assert t.xsub(x, y) == tuple(t.bsub(a, b) for a, b in zip(x, y))
+    # F_q rows of other lengths, such as the row reduction passes
+    rows = [(t.q - 1,), top + (1, 0), tuple(rng.randrange(t.q) for _ in range(t.n + 2))]
+    for x in rows:
+        for c in scalars:
+            assert t.xscale(c, x) == tuple(t.bmul(c, a) for a in x), (c, x)
+        assert t.xadd(x, x) == tuple(t.badd(a, a) for a in x)
+        assert t.xsub(x, x) == (0,) * len(x)
 
 
 def _xmul_schoolbook(t, x, y):

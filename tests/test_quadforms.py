@@ -1,10 +1,15 @@
 """Gram matrices, diagonalization, rank/character predictions, char sums."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
+
+import artinschreier
 
 from artinschreier.counting import (CurveSpec, HypersurfaceSpec, count_curve, count_hypersurface,
                                    term_invariants)
@@ -84,6 +89,31 @@ def test_build_gram_symmetric_and_scales():
         for l in range(t.n):
             assert g1[j][l] == g1[l][j]
             assert g2[j][l] == t.bmul(2, g1[j][l])
+
+
+def _gram_reference(t, basis, i, a):
+    """Entry (j, l) = (a/2) Tr(b_j^(q^i) b_l + b_l^(q^i) b_j - 2 b_j b_l),
+    three products per unordered pair, as the definition reads."""
+    frob = [t.frobenius(b, i) for b in basis]
+    two = t.base_from_int(2)
+    half_a = t.bmul(t.binv(two), a)
+    gram = [[0] * t.n for _ in range(t.n)]
+    for j in range(t.n):
+        for l in range(j, t.n):
+            term = t.xadd(t.xmul(frob[j], basis[l]), t.xmul(frob[l], basis[j]))
+            term = t.xsub(term, t.xscale(two, t.xmul(basis[j], basis[l])))
+            gram[j][l] = gram[l][j] = t.bmul(half_a, t.trace(term))
+    return gram
+
+
+@pytest.mark.parametrize("psn", [(3, 1, 5), (3, 2, 3), (5, 1, 4), (7, 3, 2), (3, 7, 2)])
+def test_build_gram_matches_literal_definition(psn):
+    t = build_tower(*psn)
+    rng = random.Random(sum(psn))
+    for basis in [polynomial_basis(t)] + [random_basis(t, rng) for _ in range(3)]:
+        for i in range(1, t.n):
+            for a in (1, t.q - 1):
+                assert build_gram(t, basis, i, a) == _gram_reference(t, basis, i, a), (i, a)
 
 
 def test_build_gram_rejects_dependent_basis():
@@ -166,12 +196,28 @@ def _mat_mul(t, A, B):
     return out
 
 
+def _zero_diagonal_symmetric(t, rng, n):
+    """Symmetric matrices with an all-zero diagonal, which start on the
+    off-diagonal pivot: the hyperbolic blocks [[0, 1], [1, 0]] down the
+    diagonal, a sum of [[0, h], [h, 0]] blocks at random places, and a
+    random zero-diagonal matrix."""
+    hyperbolic = [[int(j ^ l == 1) for l in range(n)] for j in range(n)]
+    summed = [[0] * n for _ in range(n)]
+    for _ in range(n):
+        j, l = rng.sample(range(n), 2)
+        summed[j][l] = summed[l][j] = t.badd(summed[j][l], rng.randrange(1, t.q))
+    scattered = _random_symmetric(t, rng, n)
+    for j in range(n):
+        scattered[j][j] = 0
+    return [hyperbolic, summed, scattered]
+
+
 def test_diagonalize_reconstruction():
     rng = random.Random(23)
-    for p, s, n in [(3, 1, 4), (3, 2, 3), (7, 1, 5)]:
+    for p, s, n in [(3, 1, 4), (3, 2, 3), (7, 1, 5), (3, 7, 2)]:
         t = build_tower(p, s, n)
-        for _ in range(10):
-            H = _random_symmetric(t, rng, n)
+        inputs = [_random_symmetric(t, rng, n) for _ in range(10)]
+        for H in inputs + _zero_diagonal_symmetric(t, rng, n):
             res = congruence_diagonalize(t, H)
             M = res.transform
             assert fq_matrix_rank(t, M) == n  # invertible
@@ -679,6 +725,19 @@ def test_count_qf_solutions_examples():
     t = build_tower(3, 1, 2)
     assert count_qf_solutions(t, 2, 1, 1, 0) == 3
     assert count_qf_solutions(t, 2, 1, 1, 1) == 6
+
+
+def test_count_qf_solutions_read_from_the_package_does_not_load_quadforms():
+    # the package binds it from counting, which it has loaded already
+    src = os.path.dirname(os.path.dirname(artinschreier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, artinschreier; artinschreier.count_qf_solutions; "
+            "print('artinschreier.quadforms' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert artinschreier.count_qf_solutions is count_qf_solutions
 
 
 def test_count_qf_solutions_refuses_alpha_outside_fq():
