@@ -29,7 +29,6 @@ FourthRootUnit = int
 ExtElement = tuple
 
 _LOG_TABLE_MAX_Q = 1 << 20
-_ADD_TABLE_MAX_Q = 1 << 9  # q*q add/sub lookup tables below this
 
 DEFAULT_LIMIT = 10_000_000
 
@@ -179,23 +178,6 @@ def tau_power(p: int, e: int) -> FourthRootUnit:
     if p % 4 == 1:
         return 0
     return e % 4
-
-
-def _digitwise_table(p: int, s: int, op) -> list:
-    """Flat q*q table, q = p^s, whose entry a*q + b is op(x, y) mod p taken
-    digit by digit on the base-p digits of a and b.
-
-    Code a = a' p + a_0 has low digit a_0, so row a of the table is the row
-    a' of the (s-1)-digit table with each entry h replaced by the block
-    h p + op(a_0, b_0) mod p over b_0 < p."""
-    table = [op(x, y) % p for x in range(p) for y in range(p)]
-    for k in range(1, s):
-        size = p ** k  # the codes of the previous table
-        blocks = [[[h * p + op(x, y) % p for y in range(p)] for h in range(size)]
-                  for x in range(p)]
-        rows = [table[h * size:(h + 1) * size] for h in range(size)]
-        table = [entry for row in rows for low in blocks for h in row for entry in low[h]]
-    return table
 
 
 class _PolyOps:
@@ -383,15 +365,18 @@ class FieldTower:
     # ----- F_q arithmetic on int codes -----
 
     def _init_base_tables(self) -> None:
+        """For 1 < s and q <= 2^20, the exp, log and Zech tables over a
+        primitive element g, which all F_q arithmetic reads; bpow runs on
+        the prime tower's xpow until they exist.  Zech's logarithm
+        z[k] = log(1 + g^k) (K. Huber, IEEE Trans. Inf. Theory 36, 1990)
+        gives a + b = g^(log a + z[log b - log a]) for nonzero a and b, and
+        -b = g^(h + log b) with h = (q - 1)/2.  As 1 + g^h = 0, z[h] points
+        past the two copies of exp into q - 1 zeros.  Any sum of two logs
+        indexes exp, and any such sum less a log the two copies of z."""
         p, s, q = self.p, self.s, self.q
-        self._exp = self._log = self._add = self._sub = None
-        if s > 1 and q <= _ADD_TABLE_MAX_Q:
-            self._add = _digitwise_table(p, s, lambda x, y: x + y)
-            self._sub = _digitwise_table(p, s, lambda x, y: x - y)
+        self._exp = self._log = self._zech = None
         if s == 1 or q > _LOG_TABLE_MAX_Q:
             return
-        # discrete-log tables over a primitive element; bpow runs on the
-        # prime tower's xpow until they exist
         factors = _prime_factors(q - 1)
         g = next(a for a in range(2, q)
                  if all(self.bpow(a, (q - 1) // ell) != 1 for ell in factors))
@@ -401,7 +386,14 @@ class FieldTower:
         log = [0] * q
         for k, v in enumerate(exp):
             log[v] = k
-        self._exp, self._log = exp, log
+        # the code 1 has no digit but the low one, and digits add mod p
+        # without a carry, so 1 + v changes only the low digit of v
+        zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+        zech[(q - 1) // 2] = 2 * (q - 1)
+        exp += exp  # in place: a concatenation would hold old and new lists at once
+        exp += [0] * (q - 1)
+        zech += zech
+        self._exp, self._log, self._zech = exp, log, zech
 
     def _bmul_generic(self, a: int, b: int) -> int:
         """a b as the product of digit vectors mod base_modulus, s > 1."""
@@ -417,31 +409,31 @@ class FieldTower:
     def badd(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a + b) % self.p
-        if self._add is not None:
-            return self._add[a * self.q + b]
+        if self._exp is not None:
+            if not (a and b):
+                return a or b
+            la = self._log[a]
+            return self._exp[la + self._zech[self._log[b] - la]]
         return self.base_from_digits(
             [(x + y) % self.p for x, y in zip(self.base_digits(a), self.base_digits(b))])
 
     def bsub(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a - b) % self.p
-        if self._sub is not None:
-            return self._sub[a * self.q + b]
-        return self.base_from_digits(
-            [(x - y) % self.p for x, y in zip(self.base_digits(a), self.base_digits(b))])
+        return (a - b) % self.p if self.s == 1 else self.badd(a, self.bneg(b))
 
     def bsub_row(self, a: int) -> list:
-        """[a - b for b in F_q], b in code order: one row of the subtraction
-        table, so a caller pairing two histograms over F_q makes no method
-        call per pair."""
+        """[a - b for b in F_q], b in code order, as one vector subtraction,
+        so a caller pairing two histograms over F_q makes no method call per
+        pair."""
         if self.s == 1:
             return [*range(a, -1, -1), *range(self.p - 1, a, -1)]
-        if self._sub is not None:
-            return self._sub[a * self.q:(a + 1) * self.q]
-        return [self.bsub(a, b) for b in range(self.q)]
+        return list(self.xsub([a] * self.q, range(self.q)))
 
     def bneg(self, a: int) -> int:
-        return self.bsub(0, a)
+        if self.s == 1:
+            return -a % self.p
+        if self._exp is not None:
+            return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
+        return self.base_from_digits([-x % self.p for x in self.base_digits(a)])
 
     def bmul(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -449,7 +441,7 @@ class FieldTower:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+            return self._exp[self._log[a] + self._log[b]]
         return self._bmul_generic(a, b)
 
     def _bscale_add(self, acc: list, off: int, c: int, row: Sequence) -> None:
@@ -460,12 +452,13 @@ class FieldTower:
                 if m:
                     acc[k] = (acc[k] + c * m) % p
             return
-        if self._add is not None:
-            add, exp, log, q, qm1 = self._add, self._exp, self._log, self.q, self.q - 1
+        if self._exp is not None:
+            exp, log, zech = self._exp, self._log, self._zech
             lc = log[c]
             for k, m in enumerate(row, off):
                 if m:
-                    acc[k] = add[acc[k] * q + exp[(lc + log[m]) % qm1]]
+                    lv, a = lc + log[m], acc[k]
+                    acc[k] = exp[(la := log[a]) + zech[lv - la]] if a else exp[lv]
             return
         for k, m in enumerate(row, off):
             if m:
@@ -563,25 +556,27 @@ class FieldTower:
         return self._frob_matrices[k]
 
     # The vector operations pick the F_q branch once per vector: residues
-    # mod p for s = 1, flat table lookups while the tables exist, and the
+    # mod p for s = 1, exp/log/Zech lookups while the tables exist, and the
     # per-coefficient base operations above them.
 
     def xadd(self, x: ExtElement, y: ExtElement) -> ExtElement:
         if self.s == 1:
             p = self.p
             return tuple([(a + b) % p for a, b in zip(x, y)])
-        if self._add is not None:
-            add, q = self._add, self.q
-            return tuple([add[a * q + b] for a, b in zip(x, y)])
+        if self._exp is not None:
+            exp, log, zech = self._exp, self._log, self._zech
+            return tuple([exp[log[a] + zech[log[b] - log[a]]] if a and b else a or b
+                          for a, b in zip(x, y)])
         return tuple([self.badd(a, b) for a, b in zip(x, y)])
 
     def xsub(self, x: ExtElement, y: ExtElement) -> ExtElement:
         if self.s == 1:
             p = self.p
             return tuple([(a - b) % p for a, b in zip(x, y)])
-        if self._sub is not None:
-            sub, q = self._sub, self.q
-            return tuple([sub[a * q + b] for a, b in zip(x, y)])
+        if self._exp is not None:
+            exp, log, zech, h = self._exp, self._log, self._zech, (self.q - 1) // 2
+            return tuple([(exp[log[a] + zech[log[b] + h - log[a]]] if a else exp[log[b] + h])
+                          if b else a for a, b in zip(x, y)])
         return tuple([self.bsub(a, b) for a, b in zip(x, y)])
 
     def xneg(self, x: ExtElement) -> ExtElement:
@@ -598,9 +593,9 @@ class FieldTower:
         if self._exp is not None:
             if not a:
                 return (0,) * len(x)
-            exp, log, qm1 = self._exp, self._log, self.q - 1
+            exp, log = self._exp, self._log
             la = log[a]
-            return tuple([exp[(la + log[c]) % qm1] if c else 0 for c in x])
+            return tuple([exp[la + log[c]] if c else 0 for c in x])
         return tuple([self.bmul(a, c) for c in x])
 
     def xpow(self, x: ExtElement, e: int) -> ExtElement:
@@ -639,11 +634,12 @@ class FieldTower:
         if self.s == 1:
             return sum(map(mul, x, tr)) % self.p
         acc = 0
-        if self._add is not None:
-            add, exp, log, q, qm1 = self._add, self._exp, self._log, self.q, self.q - 1
+        if self._exp is not None:
+            exp, log, zech = self._exp, self._log, self._zech
             for c, t in zip(x, tr):
                 if c and t:
-                    acc = add[acc * q + exp[(log[c] + log[t]) % qm1]]
+                    lv = log[c] + log[t]
+                    acc = exp[(la := log[acc]) + zech[lv - la]] if acc else exp[lv]
             return acc
         for c, t in zip(x, tr):
             if c and t:

@@ -55,6 +55,19 @@ def test_count_curve_lambda_parsing(capsys):
     assert json.loads(out)["closedForm"] == count_curve(CurveSpec(t, 1, (1, 2))).closed_form
 
 
+def test_count_curve_over_f_3_9_searches_its_modulus(capsys):
+    # lambda = t needs the degree-4 modulus over F_{3^9}, a search of
+    # millions of F_q sums on the Zech tables
+    code, out, err = _run(capsys, ["count-curve", "--p", "3", "--s", "9", "--n", "4",
+                                   "--i", "1", "--lambda", "0,1"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "schemaVersion": 1, "p": 3, "s": 9, "n": 4, "i": 1, "lambda": "0,1,0,0",
+        "traceLambda": 2, "closedForm": 150087009699514134, "boundLower": 7625597484987,
+        "boundUpper": 300181644996513255, "classification": "Neither",
+        "branch": "coprime-odd", "halfIntegralBound": False}
+
+
 # ----------------------------------------------------- count-hypersurface
 
 

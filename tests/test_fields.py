@@ -1,5 +1,6 @@
 """Tower construction, arithmetic, Frobenius, trace, character."""
 
+import functools
 import itertools
 import random
 
@@ -51,10 +52,14 @@ GOLDEN_TOWERS = {
     (13, 1, 8): ((0, 1),
         (1, 0, 0, 0, 0, 0, 2, 1, 1),
         (8, 12, 10, 5, 1, 2, 9, 0)),
-    # q > 512 has no addition tables, and q = 3^13 > 2^20 no log tables either
+    # q = 3^7 and 3^9 add by Zech logarithms, and q = 3^13 > 2^20 has no
+    # tables; the degree-4 search over F_{3^9} makes 2.6 million F_q sums
     (3, 7, 3): ((1, 0, 0, 0, 0, 1, 2, 1),
         (1, 0, 2, 1),
         (0, 1, 1)),
+    (3, 9, 4): ((1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+        (1, 0, 1, 1, 1),
+        (1, 2, 2, 2)),
     (3, 13, 2): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1),
         (1, 0, 1),
         (2, 0)),
@@ -69,6 +74,16 @@ def test_tower_moduli_and_traces_golden(psn):
     assert t.ext_modulus == ext_modulus
     monomials = [tuple(1 if j == k else 0 for j in range(t.n)) for k in range(t.n)]
     assert tuple(t.trace(m) for m in monomials) == traces
+
+
+def _digitwise(p, a, b, sign=1):
+    """a + sign * b on F_q codes, q a power of p, digit by digit on their
+    base-p digits: the definition of the addition, reading no table."""
+    out, place = 0, 1
+    while a or b:
+        out += (a % p + sign * (b % p)) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
 
 
 def _least_irreducible_by_trial_division(card, degree, mul, sub):
@@ -100,13 +115,15 @@ SCAN_REFERENCE_TOWERS = [(p, s, n) for p in (3, 5, 7, 11, 13) for s in (1, 2)
 
 
 def test_moduli_match_trial_division_reference():
+    # the F_q subtraction of the reference is the digit-wise definition, not
+    # the tower's Zech-logarithm subtraction that the modulus search runs on
     for psn in SCAN_REFERENCE_TOWERS:
         p, s, n = psn
         t = build_tower(*psn)
-        base = _least_irreducible_by_trial_division(
-            p, s, lambda a, b: a * b % p, lambda a, b: (a - b) % p)
+        sub = functools.partial(_digitwise, p, sign=-1)
+        base = _least_irreducible_by_trial_division(p, s, lambda a, b: a * b % p, sub)
         assert t.base_modulus == base, psn
-        assert t.ext_modulus == _least_irreducible_by_trial_division(t.q, n, t.bmul, t.bsub), psn
+        assert t.ext_modulus == _least_irreducible_by_trial_division(t.q, n, t.bmul, sub), psn
 
 
 def test_build_tower_cached_identity():
@@ -171,7 +188,7 @@ def test_base_arithmetic_prime_field():
 
 
 def test_base_arithmetic_table_vs_digits():
-    # q = 9 exercises the table-backed path; check against digit arithmetic.
+    # q = 9 adds by Zech logarithms; check against digit arithmetic.
     t = build_tower(3, 2, 2)
     for a in range(t.q):
         da = t.base_digits(a)
@@ -183,29 +200,44 @@ def test_base_arithmetic_table_vs_digits():
             assert t.bsub(a, b) == want
 
 
-@pytest.mark.parametrize("ps", [(3, 3), (5, 3), (7, 3), (13, 2)])
+@pytest.mark.parametrize("ps", [(3, 3), (5, 3), (7, 3), (13, 2), (3, 7), (3, 9), (1009, 2)])
 def test_base_addition_tables_are_digitwise(ps):
-    # the tables are built row by row from the (s-1)-digit table
-    t = build_tower(*ps, 1)
+    # badd, bsub and _bscale_add read the exp, log and Zech tables: every
+    # pair for q <= 343, seeded pairs above, and the pairs that meet zero or
+    # sum to zero (1 + (p - 1) is the one Zech entry with no logarithm).
+    # FieldTower, not build_tower, so the 1009^2 tables are not kept
+    t = FieldTower(*ps, 1)
     p, q = t.p, t.q
-    assert t._add is not None and t._sub is not None
-    digits = [t.base_digits(a) for a in range(q)]
-    for a in range(q):
-        da = digits[a]
-        for b in range(q):
-            db = digits[b]
-            assert t._add[a * q + b] == t.base_from_digits(
-                [(x + y) % p for x, y in zip(da, db)])
-            assert t._sub[a * q + b] == t.base_from_digits(
-                [(x - y) % p for x, y in zip(da, db)])
+    assert t._zech is not None
+    rng = random.Random(q)
+    if q < 1000:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(4000)]
+    a, b = rng.randrange(1, q), rng.randrange(1, q)
+    pairs += [(0, 0), (a, 0), (0, b), (a, _digitwise(p, 0, a, -1)), (1, p - 1), (p - 1, 1)]
+    for a, b in pairs:
+        assert t.badd(a, b) == _digitwise(p, a, b), (ps, a, b)
+        assert t.bsub(a, b) == _digitwise(p, a, b, -1), (ps, a, b)
+    for _ in range(300):
+        c = rng.randrange(1, q)
+        acc = [rng.choice((0, 1, p - 1, rng.randrange(q))) for _ in range(7)]
+        row = [rng.choice((0, 1, p - 1, rng.randrange(q))) for _ in range(5)]
+        want = acc[:2] + [_digitwise(p, x, t.bmul(c, m)) for x, m in zip(acc[2:], row)]
+        t._bscale_add(acc, 2, c, row)
+        assert acc == want, (ps, c, row)
+    c, m = rng.randrange(1, q), rng.randrange(1, q)
+    acc = [_digitwise(p, 0, t.bmul(c, m), -1)]
+    t._bscale_add(acc, 0, c, [m])
+    assert acc == [0], (ps, c, m)
 
 
 @pytest.mark.parametrize("ps", [(7, 1), (3, 2), (3, 6)])
 def test_bsub_row(ps):
-    # the prime field, the table-backed path, and digits (q = 729 has no table)
+    # the prime field and two Zech-table fields, q = 9 and q = 729
     t = build_tower(*ps, 1)
     for a in sorted({0, 1, 2, t.q // 2, t.q - 1}):
-        assert t.bsub_row(a) == [t.bsub(a, b) for b in range(t.q)]
+        assert t.bsub_row(a) == [_digitwise(t.p, a, b, -1) for b in range(t.q)]
 
 
 def test_base_mul_group_structure():
@@ -214,7 +246,7 @@ def test_base_mul_group_structure():
         assert t.bmul(a, t.binv(a)) == 1
         assert t.bpow(a, t.q - 1) == 1
     assert t.bmul(0, 5) == 0
-    # q = 3^7 has no add tables, and q = 3^13 > 2^20 no log tables either, so
+    # q = 3^7 multiplies by log tables, and q = 3^13 > 2^20 has none, so
     # there the product is the prime tower's polynomial product
     rng = random.Random(17)
     for s in (7, 13):
@@ -252,16 +284,16 @@ def test_elements_in_integer_order(psn):
     assert list(t.elements()) == [t.ext_from_int(m) for m in range(t.ext_card)]
 
 
-# (p, s, n) and whether the tower has F_q add/sub and log tables: s = 1
-# reduces mod p, q <= 512 adds by table, q <= 2^20 multiplies by logs, and
-# past both the vector operations run the base operations per coefficient
+# (p, s, n) and whether the tower has F_q exp, log and Zech tables: s = 1
+# reduces mod p, 1 < s with q <= 2^20 adds and multiplies by the tables, and
+# past them the vector operations run the base operations per coefficient
 @pytest.mark.parametrize("psn,tables", [
     ((3, 1, 4), (False, False)), ((1009, 1, 2), (False, False)),
     ((3, 2, 3), (True, True)), ((7, 3, 2), (True, True)),
-    ((3, 7, 2), (False, True)), ((3, 13, 2), (False, False))])
+    ((3, 7, 2), (True, True)), ((3, 13, 2), (False, False))])
 def test_vector_operations_match_base_operations(psn, tables):
     t = build_tower(*psn)
-    assert (t._add is not None, t._exp is not None) == tables
+    assert (t._exp is not None, t._zech is not None) == tables
     rng = random.Random(psn[0] * 100 + psn[1])
     top = tuple([t.q - 1] * t.n)
     xs = [t.zero, t.one, top] + [t.random_element(rng) for _ in range(20)]
@@ -470,8 +502,7 @@ def test_trace_examples():
 def test_trace_is_sum_of_conjugates(psn):
     # p | n and n > p, so Newton's identities meet k = p, where the k c_{n-k}
     # term vanishes; the conjugates come from xpow, not the Frobenius tables.
-    # (3,2,6) sums through the F_q add table; (3,7,2), with q > 512, has
-    # none and sums by method calls
+    # (3,2,6) and (3,7,2) sum by Zech logarithms
     t = build_tower(*psn)
     rng = random.Random(sum(psn))
     basis = [tuple(1 if j == k else 0 for j in range(t.n)) for k in range(t.n)]
